@@ -10,48 +10,37 @@ Example:
 import argparse
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+from depfuse.cli import add_flags, settings
 from depfuse.corpus import serialize_records
 from depfuse.metrics import report_to_json
-from depfuse.pipeline import RunConfig, run_training
+from depfuse.pipeline import run_training
 from depfuse.synth import SynthDatasetSpec, generate_dataset, spec_to_json
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=250, help="users per class")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--epochs", type=int, default=30)
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument("--fusion", default="cross_attention",
-                        choices=("cross_attention", "concat"))
-    parser.add_argument("--refine-layers", type=int, default=0)
-    parser.add_argument("--patience", type=int, default=5)
-    parser.add_argument("--out-dir", default=None,
-                        help="artifact directory (default: temporary)")
+    add_flags(
+        parser,
+        ("n", "seed", "epochs", "learning_rate", "batch_size", "fusion", "refine_layers",
+         "early_stop_patience", "out_dir"),
+        out_dir="artifact directory (default: temporary)",
+    )
+    parser.set_defaults(seed=11, epochs=30, early_stop_patience=5)
     args = parser.parse_args(argv)
+    config, opts = settings(args)
 
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="depfuse_bench_")
     corpus = Path(out_dir) / "corpus.jsonl"
     corpus.parent.mkdir(parents=True, exist_ok=True)
-    spec = SynthDatasetSpec(n_per_class=args.n, seed=args.seed)
+    spec = SynthDatasetSpec(n_per_class=opts.n, seed=config.seed)
     corpus.write_bytes(serialize_records(generate_dataset(spec)))
     Path(str(corpus) + ".spec.json").write_text(spec_to_json(spec), encoding="utf-8")
-    print(f"corpus: {2 * args.n} users -> {corpus}")
+    print(f"corpus: {2 * opts.n} users -> {corpus}")
 
-    config = RunConfig(
-        corpus=str(corpus),
-        out_dir=out_dir,
-        seed=args.seed,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        fusion=args.fusion,
-        refine_layers=args.refine_layers,
-        early_stop_patience=args.patience,
-    )
+    config = replace(config, corpus=str(corpus), out_dir=out_dir)
     result = run_training(config)
     for row in result.history.epochs:
         print(

@@ -1,13 +1,17 @@
-"""Command-line surface: gen-synth, featurize, train, eval, predict.
+"""Command-line surface: gen-synth, featurize, train, eval, predict, ablate.
 
 Configuration precedence is defaults < config file < flags. The config file
-is flat ``key = value`` text ('#' starts a comment); keys are the long flag
-names with underscores, e.g.::
+is flat ``key = value`` text ('#' starts a comment). Its keys are the
+``RunConfig`` fields plus the verb-only ``VerbOptions`` fields (``n``,
+``out``, ``checkpoint``, ``split``), e.g.::
 
     seed = 7
     epochs = 30
     learning_rate = 1e-3
     fusion = cross_attention
+
+Each setting's flag is its field name with dashes (``--max-len``) unless its
+field metadata spells it otherwise (``--lr``).
 
 Exit codes: 0 success, 2 usage/configuration, 3 data/format, 4 numerical
 failure. All randomness is driven by --seed; outputs are byte-identical
@@ -18,16 +22,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import ParseIssue, SplitSpec, UserRecord, parse_corpus, serialize_records, split_dataset
-from .errors import ConfigError, DataFormatError, NumericalError, UsageError
+from .corpus import ParseIssue, SplitSpec, UserRecord, serialize_records, split_dataset
+from .errors import ConfigError, DataFormatError, NumericalError, UsageError, input_errors
 from .features import extract_features
 from .metrics import report_to_json
 from .model import load_checkpoint, vocab_fingerprint
-from .pipeline import RunConfig, make_scorer, run_training
+from .pipeline import (
+    RunConfig,
+    build_from,
+    load_corpus,
+    make_scorer,
+    run_ablation,
+    run_training,
+    setting,
+)
 from .synth import SynthDatasetSpec, generate_dataset, spec_to_json
 from .text import build_vocab
 from .train import (
@@ -38,39 +50,31 @@ from .train import (
     probability_depressed,
 )
 
-_RUN_KEYS = {f.name: f.type for f in fields(RunConfig)}
+SPLITS = ("all", "train", "validation")
 
-# key -> coercion for config files; mirrors the flag types.
-_KEY_PARSERS = {
-    "n": int,
-    "corpus": str,
-    "out": str,
-    "out_dir": str,
-    "checkpoint": str,
-    "lexicon": str,
-    "split": str,
-    "threshold": float,
-    "ratio": float,
-    "seed": int,
-    "min_freq": int,
-    "max_len": int,
-    "d1": int,
-    "d2": int,
-    "d_k": int,
-    "refine_layers": int,
-    "refine_heads": int,
-    "mlp_hidden": int,
-    "fusion": str,
-    "value_projection": str,
-    "fusion_query": str,
-    "outer_relu": "bool",
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "early_stop_patience": int,
-    "shuffle_each_epoch": "bool",
-    "timing": "bool",
-}
+
+@dataclass(frozen=True)
+class VerbOptions:
+    """Settings that a single verb reads besides the run settings."""
+
+    n: int = setting(250, help="users per class (default 250)")
+    out: Optional[str] = None
+    checkpoint: Optional[str] = setting(None, help="checkpoint JSON path")
+    split: str = setting(
+        "all", choices=SPLITS, help="evaluate a reproduced split slice instead of all users"
+    )
+
+
+_SETTINGS: Dict[str, Field] = {f.name: f for f in fields(RunConfig) + fields(VerbOptions)}
+_RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
+# The flags of every verb that reads a corpus.
+_INPUT_FIELDS = ("seed", "corpus", "lexicon", "threshold")
+
+
+def _kind(f: Field) -> type:
+    """The type a setting parses to: its default's, or str for a path that
+    defaults to None."""
+    return str if f.default is None else type(f.default)
 
 
 def _parse_bool(text: str) -> bool:
@@ -83,10 +87,10 @@ def _parse_bool(text: str) -> bool:
 
 
 def parse_config_file(path: Path) -> Dict[str, object]:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    with input_errors(path, "config file"):
+        text = path.read_text(encoding="utf-8")
     values: Dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -94,33 +98,35 @@ def parse_config_file(path: Path) -> Dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        parser = _KEY_PARSERS[key]
+        kind = _kind(_SETTINGS[key])
         try:
-            values[key] = _parse_bool(value) if parser == "bool" else parser(value)
+            values[key] = _parse_bool(value) if kind is bool else kind(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
-def _merge(args: argparse.Namespace, keys: Sequence[str]) -> Dict[str, object]:
-    """defaults < config file < explicit flags, restricted to ``keys``."""
-    merged: Dict[str, object] = {}
-    file_values: Dict[str, object] = {}
-    if getattr(args, "config", None):
-        file_values = parse_config_file(Path(args.config))
-    for key in keys:
-        if key in file_values:
-            merged[key] = file_values[key]
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+def add_flags(parser: argparse.ArgumentParser, names: Sequence[str], **helps: str) -> None:
+    """One flag per named setting, typed by its default; ``helps`` replaces
+    a setting's help text for this parser."""
+    for name in names:
+        f = _SETTINGS[name]
+        flags = f.metadata.get("flags", ("--" + name.replace("_", "-"),))
+        kwargs = {"dest": name, "help": helps.get(name, f.metadata.get("help"))}
+        if _kind(f) is bool:
+            kwargs.update(action=argparse.BooleanOptionalAction, default=None)
+        else:
+            kwargs.update(type=_kind(f), choices=f.metadata.get("choices"))
+        parser.add_argument(*flags, **kwargs)
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**_merge(args, list(_RUN_KEYS)))
+def settings(args: argparse.Namespace) -> Tuple[RunConfig, VerbOptions]:
+    """defaults < config file < explicit flags."""
+    values = parse_config_file(Path(args.config)) if getattr(args, "config", None) else {}
+    values.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
+    return build_from(RunConfig, values), build_from(VerbOptions, values)
 
 
 def _report_issues(issues: List[ParseIssue]) -> None:
@@ -128,14 +134,10 @@ def _report_issues(issues: List[ParseIssue]) -> None:
         print(f"parse issue: line {issue.line}: {issue.reason}", file=sys.stderr)
 
 
-def _load_records(corpus: str) -> tuple[List[UserRecord], List[ParseIssue]]:
-    path = Path(corpus)
-    if not path.exists():
-        raise ConfigError(f"corpus not found: {path}")
-    with path.open("rb") as fh:
-        records, issues = parse_corpus(fh)
+def _load_records(corpus: str) -> List[UserRecord]:
+    records, issues = load_corpus(corpus)
     _report_issues(issues)
-    return records, issues
+    return records
 
 
 def _write_text(out: Optional[str], text: str) -> None:
@@ -146,16 +148,12 @@ def _write_text(out: Optional[str], text: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def cmd_gen_synth(args: argparse.Namespace) -> int:
-    merged = _merge(args, ["n", "seed", "out"])
-    n = int(merged.get("n", 250))
-    seed = int(merged.get("seed", 0))
-    out = merged.get("out")
-    if out is None:
+def cmd_gen_synth(config: RunConfig, opts: VerbOptions) -> int:
+    if opts.out is None:
         raise ConfigError("gen-synth requires --out PATH")
-    spec = SynthDatasetSpec(n_per_class=n, seed=seed)
+    spec = SynthDatasetSpec(n_per_class=opts.n, seed=config.seed)
     records = generate_dataset(spec)
-    out_path = Path(out)
+    out_path = Path(opts.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(serialize_records(records))
@@ -170,10 +168,8 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_featurize(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    merged = _merge(args, ["out"])
-    records, _ = _load_records(config.corpus)
+def cmd_featurize(config: RunConfig, opts: VerbOptions) -> int:
+    records = _load_records(config.corpus)
     scorer = make_scorer(config)
     lines = ["user_id,label,p_original,p_late_night,posts_per_week,posting_time_sd,p_negative,image_freq"]
     for record in records:
@@ -183,12 +179,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             f"{v.posts_per_week:.6f},{v.posting_time_sd:.6f},{v.p_negative:.6f},"
             f"{v.image_freq:.6f}"
         )
-    _write_text(merged.get("out"), "\n".join(lines) + "\n")
+    _write_text(opts.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = _run_config(args)
+def cmd_train(config: RunConfig, opts: VerbOptions) -> int:
     result = run_training(config)
     _report_issues(result.issues)
     for row in result.history.epochs:
@@ -215,15 +210,11 @@ def _select_slice(
     return train_records if split == "train" else val_records
 
 
-def _load_model_for(args: argparse.Namespace):
-    merged = _merge(args, ["checkpoint"])
-    checkpoint = merged.get("checkpoint")
-    if checkpoint is None:
+def _load_model_for(opts: VerbOptions):
+    if opts.checkpoint is None:
         raise ConfigError("missing --checkpoint PATH")
-    path = Path(checkpoint)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
+    with input_errors(opts.checkpoint, "checkpoint"):
+        return load_checkpoint(opts.checkpoint)
 
 
 def _prepare_for_model(model, records, config: RunConfig):
@@ -240,16 +231,13 @@ def _prepare_for_model(model, records, config: RunConfig):
     )
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    merged = _merge(args, ["out", "split"])
-    split = str(merged.get("split", "all"))
-    if split not in ("all", "train", "validation"):
-        raise ConfigError(f"--split must be all|train|validation, got {split!r}")
-    model = _load_model_for(args)
-    records, _ = _load_records(config.corpus)
-    subset = _select_slice(records, split, config.ratio, config.seed)
-    if split != "all" and model.vocab is not None:
+def cmd_eval(config: RunConfig, opts: VerbOptions) -> int:
+    if opts.split not in SPLITS:
+        raise ConfigError(f"--split must be {'|'.join(SPLITS)}, got {opts.split!r}")
+    model = _load_model_for(opts)
+    records = _load_records(config.corpus)
+    subset = _select_slice(records, opts.split, config.ratio, config.seed)
+    if opts.split != "all" and model.vocab is not None:
         # Reproduction mode claims this is the training corpus; verify that
         # the vocabulary rebuilt from its training slice matches the
         # checkpoint before trusting the slice assignment.
@@ -264,15 +252,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("selected slice is empty")
     examples = _prepare_for_model(model, subset, config)
     report = evaluate(model, examples)
-    _write_text(merged.get("out"), report_to_json(report) + "\n")
+    _write_text(opts.out, report_to_json(report) + "\n")
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    merged = _merge(args, ["out"])
-    model = _load_model_for(args)
-    records, _ = _load_records(config.corpus)
+def cmd_predict(config: RunConfig, opts: VerbOptions) -> int:
+    model = _load_model_for(opts)
+    records = _load_records(config.corpus)
     if not records:
         raise ConfigError("no valid records to predict on")
     examples = _prepare_for_model(model, records, config)
@@ -282,19 +268,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
     lines = ["user_id,prob_depressed,prediction"]
     for example, prob, pred in zip(examples, probs, preds):
         lines.append(f"{example.user_id},{prob:.6f},{pred}")
-    _write_text(merged.get("out"), "\n".join(lines) + "\n")
+    _write_text(opts.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="root seed for all randomness")
-
-
-def _add_featurize_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", help="JSONL corpus path")
-    parser.add_argument("--lexicon", help="negative-term lexicon file (default: shipped)")
-    parser.add_argument("--threshold", type=float, help="negativity threshold (default 0.5)")
+def cmd_ablate(config: RunConfig, opts: VerbOptions) -> int:
+    results = run_ablation(config)
+    width = max(len(name) for name, _ in results)
+    print(f"{'variant':<{width}}  accuracy  precision  recall    f1")
+    for name, rep in results:
+        print(
+            f"{name:<{width}}  {rep.accuracy:.6f}  {rep.precision:.6f}"
+            f"   {rep.recall:.6f}  {rep.f1:.6f}"
+        )
+    print(f"per-variant artifacts and summary.csv written under {config.out_dir}/")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,64 +292,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-synth", help="generate a labeled synthetic corpus")
-    _add_shared(p)
-    p.add_argument("--n", type=int, help="users per class (default 250)")
-    p.add_argument("--out", help="output JSONL path (sidecar: <out>.spec.json)")
-    p.set_defaults(func=cmd_gen_synth)
+    def verb(name, func, summary, names, **helps):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="flat key=value config file")
+        add_flags(p, names, **helps)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("featurize", help="emit the per-user statistic CSV")
-    _add_shared(p)
-    _add_featurize_flags(p)
-    p.add_argument("--out", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("train", help="train a fusion classifier")
-    _add_shared(p)
-    _add_featurize_flags(p)
-    p.add_argument("--out-dir", "--out", dest="out_dir", help="artifact directory")
-    p.add_argument("--ratio", type=float, help="train fraction of the split (default 0.8)")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--d-k", type=int, dest="d_k")
-    p.add_argument("--refine-layers", type=int, dest="refine_layers")
-    p.add_argument("--refine-heads", type=int, dest="refine_heads")
-    p.add_argument("--mlp-hidden", type=int, dest="mlp_hidden")
-    p.add_argument("--fusion", choices=("cross_attention", "concat"))
-    p.add_argument("--value-projection", choices=("shared_with_key", "separate"),
-                   dest="value_projection")
-    p.add_argument("--fusion-query", choices=("tokens", "stats"), dest="fusion_query")
-    p.add_argument("--outer-relu", action=argparse.BooleanOptionalAction, default=None,
-                   dest="outer_relu")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--early-stop-patience", type=int, dest="early_stop_patience")
-    p.add_argument("--shuffle-each-epoch", action=argparse.BooleanOptionalAction,
-                   default=None, dest="shuffle_each_epoch")
-    p.add_argument("--timing", action=argparse.BooleanOptionalAction, default=None,
-                   help="write real wall-clock seconds into history.csv")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    _add_shared(p)
-    _add_featurize_flags(p)
-    p.add_argument("--checkpoint", help="checkpoint JSON path")
-    p.add_argument("--out", help="metrics JSON path (default: stdout)")
-    p.add_argument("--split", choices=("all", "train", "validation"),
-                   help="evaluate a reproduced split slice instead of all users")
-    p.add_argument("--ratio", type=float, help="split ratio when --split is used")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="per-user probabilities from a checkpoint")
-    _add_shared(p)
-    _add_featurize_flags(p)
-    p.add_argument("--checkpoint", help="checkpoint JSON path")
-    p.add_argument("--out", help="predictions CSV path (default: stdout)")
-    p.set_defaults(func=cmd_predict)
-
+    verb(
+        "gen-synth", cmd_gen_synth, "generate a labeled synthetic corpus", ("seed", "n", "out"),
+        out="output JSONL path (sidecar: <out>.spec.json)",
+    )
+    verb(
+        "featurize", cmd_featurize, "emit the per-user statistic CSV", _INPUT_FIELDS + ("out",),
+        out="CSV path (default: stdout)",
+    )
+    verb("train", cmd_train, "train a fusion classifier", _RUN_FIELDS)
+    verb(
+        "eval", cmd_eval, "evaluate a checkpoint on a corpus",
+        _INPUT_FIELDS + ("checkpoint", "out", "split", "ratio"),
+        out="metrics JSON path (default: stdout)", ratio="split ratio when --split is used",
+    )
+    verb(
+        "predict", cmd_predict, "per-user probabilities from a checkpoint",
+        _INPUT_FIELDS + ("checkpoint", "out"), out="predictions CSV path (default: stdout)",
+    )
+    # Every variant sets its own fusion mode and refinement depth.
+    verb(
+        "ablate", cmd_ablate, "train the fusion x refinement grid and compare the variants",
+        tuple(n for n in _RUN_FIELDS if n not in ("fusion", "refine_layers")),
+    )
     return parser
 
 
@@ -369,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(*settings(args))
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: ConfigError -> 2, DataFormatError -> 3,
 NumericalError -> 4. Everything else is a programming error and escapes.
 """
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class DepfuseError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,3 +34,15 @@ class NumericalError(DepfuseError):
 
 class FeatureError(DepfuseError):
     """Feature extraction failed (e.g. a sentiment scorer raised)."""
+
+
+@contextmanager
+def input_errors(path, what: str) -> Iterator[None]:
+    """Report an input file that is missing, unreadable (a directory, no
+    permission) or not UTF-8 as a ConfigError naming ``what`` and ``path``."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None

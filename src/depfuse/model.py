@@ -303,20 +303,17 @@ def encode_stats(model: FusionModel, normalized: np.ndarray) -> Tensor:
     return T.add(scaled, model.params["stat_bias"])
 
 
-def cross_attention(layer: CrossAttentionLayer, x_query: Tensor, x_kv: Tensor) -> Tensor:
-    """Scaled dot-product attention of one sequence over another: softmax
-    rows of (Q K^T / sqrt(d_k)) aggregate the projected values."""
-    q = T.matmul(x_query, layer.w_q)
-    k = T.matmul(x_kv, layer.w_k)
-    v = T.matmul(x_kv, layer.w_v)
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(layer.d_k))
-    return T.matmul(T.softmax_rows(scores), v)
-
-
 def attention_weights(layer: CrossAttentionLayer, x_query: Tensor, x_kv: Tensor) -> Tensor:
+    """Softmax rows of (Q K^T / sqrt(d_k)): one weight per query/key pair."""
     q = T.matmul(x_query, layer.w_q)
     k = T.matmul(x_kv, layer.w_k)
     return T.softmax_rows(T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(layer.d_k)))
+
+
+def cross_attention(layer: CrossAttentionLayer, x_query: Tensor, x_kv: Tensor) -> Tensor:
+    """Scaled dot-product attention of one sequence over another: the
+    attention weights aggregate the projected values."""
+    return T.matmul(attention_weights(layer, x_query, x_kv), T.matmul(x_kv, layer.w_v))
 
 
 def mlp_forward(head: MlpHead, x: Tensor, outer_relu: bool = False) -> Tensor:
@@ -391,7 +388,9 @@ def load_checkpoint(path: Union[str, Path]) -> FusionModel:
         payload = json.loads(Path(path).read_bytes().decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"checkpoint {path} is not a JSON object")
+    if payload.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(
             f"unsupported checkpoint version {payload.get('version')!r} in {path}"
         )
@@ -425,13 +424,15 @@ def load_checkpoint(path: Union[str, Path]) -> FusionModel:
     params: Dict[str, Tensor] = {}
     for name, (rows, cols) in expected.items():
         entry = raw_params[name]
-        if tuple(entry["shape"]) != (rows, cols) or len(entry["data"]) != rows * cols:
+        try:
+            shape = tuple(entry["shape"])
+            data = np.asarray(entry["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"checkpoint param {name} is malformed: {exc!r}") from None
+        if shape != (rows, cols) or data.shape != (rows * cols,):
             raise DataFormatError(
-                f"checkpoint param {name}: shape {tuple(entry['shape'])} does not match"
+                f"checkpoint param {name}: shape {shape} does not match"
                 f" expected ({rows}, {cols})"
             )
-        params[name] = Tensor(
-            np.asarray(entry["data"], dtype=np.float64).reshape(rows, cols),
-            requires_grad=True,
-        )
+        params[name] = Tensor(data.reshape(rows, cols), requires_grad=True)
     return FusionModel(config=config, params=params, vocab=vocab, normalizer=normalizer)

@@ -1,19 +1,20 @@
 """End-to-end wiring: corpus -> features -> model -> training -> metrics.
 
-RunConfig is the flat merged view the CLI exposes: model dimensions,
-optimizer settings, split parameters and file paths, every field with a
-default. The same pipeline backs the ``train`` subcommand and the ablation
-harness.
+RunConfig names every run setting once: model dimensions, optimizer
+settings, split parameters and file paths, each with a default. The CLI
+derives its config-file keys and flags from these fields, and the model and
+training configs take the fields that share their names. The same pipeline
+backs the ``train`` and ``ablate`` subcommands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .corpus import ParseIssue, SplitSpec, UserRecord, parse_corpus, split_dataset
-from .errors import ConfigError
+from .errors import ConfigError, input_errors
 from .features import (
     DEFAULT_NEGATIVITY_THRESHOLD,
     LexiconScorer,
@@ -23,7 +24,15 @@ from .features import (
     load_lexicon,
 )
 from .metrics import MetricsReport, report_to_json
-from .model import FusionModel, ModelConfig, init_params, save_checkpoint
+from .model import (
+    FUSION_MODES,
+    FUSION_QUERIES,
+    VALUE_PROJECTIONS,
+    FusionModel,
+    ModelConfig,
+    init_params,
+    save_checkpoint,
+)
 from .text import build_vocab
 from .train import (
     TrainConfig,
@@ -35,17 +44,34 @@ from .train import (
 )
 
 
+def setting(default: Any, **metadata: Any) -> Any:
+    """A settings field. Metadata holds what the field name and default
+    cannot say: ``flags`` (spellings other than ``--field-name``),
+    ``choices`` and ``help``."""
+    return field(default=default, metadata=metadata)
+
+
+def build_from(cls, values: Mapping[str, Any], **extra: Any):
+    """An instance of the dataclass ``cls`` from the entries of ``values``
+    that name its fields, plus ``extra``; absent fields keep their defaults."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **extra)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # paths
-    corpus: str = "corpus.jsonl"
-    out_dir: str = "run"
-    lexicon: Optional[str] = None  # None -> shipped default lexicon
+    corpus: str = setting("corpus.jsonl", help="JSONL corpus path")
+    out_dir: str = setting("run", flags=("--out-dir", "--out"), help="artifact directory")
+    lexicon: Optional[str] = setting(  # None -> shipped default lexicon
+        None, help="negative-term lexicon file (default: shipped)"
+    )
     # featurization
-    threshold: float = DEFAULT_NEGATIVITY_THRESHOLD
+    threshold: float = setting(
+        DEFAULT_NEGATIVITY_THRESHOLD, help="negativity threshold (default 0.5)"
+    )
     # split
-    ratio: float = 0.8
-    seed: int = 0
+    ratio: float = setting(0.8, help="train fraction of the split (default 0.8)")
+    seed: int = setting(0, help="root seed for all randomness")
     # text
     min_freq: int = 1
     max_len: int = 256
@@ -56,44 +82,24 @@ class RunConfig:
     refine_layers: int = 0
     refine_heads: int = 4
     mlp_hidden: int = 32
-    fusion: str = "cross_attention"
-    value_projection: str = "shared_with_key"
+    fusion: str = setting("cross_attention", choices=FUSION_MODES)
+    value_projection: str = setting("shared_with_key", choices=VALUE_PROJECTIONS)
     outer_relu: bool = False
-    fusion_query: str = "tokens"
+    fusion_query: str = setting("tokens", choices=FUSION_QUERIES)
     # optimization
-    learning_rate: float = 1e-3
+    learning_rate: float = setting(1e-3, flags=("--lr",))
     batch_size: int = 8
     epochs: int = 10
     early_stop_patience: int = 0
     shuffle_each_epoch: bool = True
     # output
-    timing: bool = False
+    timing: bool = setting(False, help="write real wall-clock seconds into history.csv")
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            d1=self.d1,
-            d2=self.d2,
-            d_k=self.d_k,
-            refine_layers=self.refine_layers,
-            refine_heads=self.refine_heads,
-            mlp_hidden=self.mlp_hidden,
-            fusion=self.fusion,
-            value_projection=self.value_projection,
-            outer_relu=self.outer_relu,
-            fusion_query=self.fusion_query,
-            vocab_size=vocab_size,
-            max_len=self.max_len,
-        )
+        return build_from(ModelConfig, vars(self), vocab_size=vocab_size)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            seed=self.seed,
-            shuffle_each_epoch=self.shuffle_each_epoch,
-            early_stop_patience=self.early_stop_patience,
-        )
+        return build_from(TrainConfig, vars(self))
 
 
 @dataclass
@@ -110,9 +116,15 @@ def make_scorer(config: RunConfig) -> LexiconScorer:
     if config.lexicon is None:
         return default_scorer()
     path = Path(config.lexicon)
-    with path.open(encoding="utf-8") as fh:
+    with input_errors(path, "lexicon"), path.open(encoding="utf-8") as fh:
         terms = load_lexicon(fh)
     return LexiconScorer(terms, name=path.name)
+
+
+def load_corpus(corpus: str) -> Tuple[List[UserRecord], List[ParseIssue]]:
+    """Parse a corpus file; a missing or unreadable file is a ConfigError."""
+    with input_errors(corpus, "corpus"), open(corpus, "rb") as fh:
+        return parse_corpus(fh)
 
 
 def train_from_records(
@@ -161,11 +173,7 @@ def train_from_records(
 
 def run_training(config: RunConfig) -> PipelineResult:
     """Full file-to-files run: parse the corpus, train, write artifacts."""
-    path = Path(config.corpus)
-    if not path.exists():
-        raise ConfigError(f"corpus not found: {path}")
-    with path.open("rb") as fh:
-        records, issues = parse_corpus(fh)
+    records, issues = load_corpus(config.corpus)
     result = train_from_records(records, config)
     result.issues = issues
     write_artifacts(result, config)
@@ -192,7 +200,7 @@ def ablation_variants(config: RunConfig) -> List[Tuple[str, RunConfig]]:
     """The four comparison runs: fusion mode x refinement depth, sharing one
     seed and otherwise-identical configuration."""
     variants = []
-    for fusion in ("cross_attention", "concat"):
+    for fusion in FUSION_MODES:
         for layers in (0, 2):
             name = f"{fusion}_refine{layers}"
             variants.append(
@@ -211,11 +219,7 @@ def ablation_variants(config: RunConfig) -> List[Tuple[str, RunConfig]]:
 
 def run_ablation(config: RunConfig) -> List[Tuple[str, MetricsReport]]:
     """Run all ablation variants and write a summary CSV next to them."""
-    path = Path(config.corpus)
-    if not path.exists():
-        raise ConfigError(f"corpus not found: {path}")
-    with path.open("rb") as fh:
-        records, _issues = parse_corpus(fh)
+    records, _issues = load_corpus(config.corpus)
     results: List[Tuple[str, MetricsReport]] = []
     for name, variant in ablation_variants(config):
         result = train_from_records(records, variant)

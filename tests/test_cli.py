@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from depfuse.cli import main
+from depfuse.cli import build_parser, main, parse_config_file
 from depfuse.metrics import report_from_json
+from depfuse.pipeline import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +87,11 @@ class TestFeaturize:
         assert len(out.read_text().strip().split("\n")) == 41
         assert "parse issue: line 41" in capsys.readouterr().err
 
-    def test_missing_corpus_exit_2(self, tmp_path):
+    def test_missing_corpus_exit_2(self, corpus, tmp_path):
         assert main(["featurize", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
+        # A directory where a file belongs is unreadable input, not a crash.
+        assert main(["featurize", "--corpus", str(tmp_path)]) == 2
+        assert main(["featurize", "--corpus", str(corpus), "--lexicon", str(tmp_path)]) == 2
 
 
 class TestTrain:
@@ -140,10 +145,9 @@ class TestEval:
         assert out.read_bytes() == (trained / "metrics.json").read_bytes()
 
     def test_missing_checkpoint_exit_2(self, corpus, tmp_path):
-        code = main(
-            ["eval", "--checkpoint", str(tmp_path / "no.json"), "--corpus", str(corpus)]
-        )
-        assert code == 2
+        for checkpoint in (tmp_path / "no.json", tmp_path):
+            code = main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus)])
+            assert code == 2, checkpoint
 
     def test_wrong_corpus_fails_vocab_hash(self, trained, tmp_path):
         other = tmp_path / "other.jsonl"
@@ -165,9 +169,16 @@ class TestEval:
 
     def test_corrupt_checkpoint_exit_3(self, corpus, trained, tmp_path):
         broken = tmp_path / "broken.json"
-        broken.write_bytes((trained / "checkpoint.json").read_bytes()[:50])
-        code = main(["eval", "--checkpoint", str(broken), "--corpus", str(corpus)])
-        assert code == 3
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        payload["params"]["mlp_b2"] = [0.0, 0.0]
+        for text in (
+            (trained / "checkpoint.json").read_text()[:50],
+            "[1, 2]",
+            json.dumps(payload),
+        ):
+            broken.write_text(text)
+            code = main(["eval", "--checkpoint", str(broken), "--corpus", str(corpus)])
+            assert code == 3, text[:50]
 
     def test_schema_of_stdout_report(self, corpus, trained, capsys):
         code = main(
@@ -207,6 +218,28 @@ class TestPredict:
             prob = float(prob)
             assert 0.0 <= prob <= 1.0
             assert pred == ("1" if prob > 0.5 else "0")
+
+
+class TestAblate:
+    def test_variants_and_summary(self, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "ablation"
+        args = ["ablate", "--corpus", str(corpus), "--out-dir", str(out_dir), "--seed", "7",
+                "--epochs", "1", "--max-len", "32", "--d1", "8", "--d2", "8", "--d-k", "8",
+                "--mlp-hidden", "8", "--refine-heads", "2"]
+        assert main(args) == 0
+        variants = sorted(p.name for p in out_dir.iterdir() if p.is_dir())
+        assert variants == [
+            "concat_refine0", "concat_refine2", "cross_attention_refine0", "cross_attention_refine2"
+        ]
+        for name in variants:
+            assert (out_dir / name / "metrics.json").exists(), name
+        summary = (out_dir / "summary.csv").read_text().strip().split("\n")
+        assert len(summary) == 5 and summary[0] == "variant,accuracy,precision,recall,f1"
+        assert len(capsys.readouterr().out.strip().split("\n")) == 6
+
+    def test_missing_corpus_exit_2(self, tmp_path):
+        args = ["ablate", "--corpus", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)]
+        assert main(args) == 2
 
 
 class TestExitCodes:
@@ -268,8 +301,86 @@ class TestConfigFile:
         config = tmp_path / "bad.cfg"
         config.write_text("nonsense = 1\n")
         assert main(["featurize", "--config", str(config), "--corpus", str(corpus)]) == 2
+        config.write_bytes(b"seed = 1 # \xff\n")
+        assert main(["featurize", "--config", str(config), "--corpus", str(corpus)]) == 2
+        assert main(["featurize", "--config", str(tmp_path), "--corpus", str(corpus)]) == 2
 
     def test_comments_and_blank_lines(self, tmp_path, corpus, capsys):
         config = tmp_path / "ok.cfg"
         config.write_text("# comment\n\nthreshold = 0.9  # trailing\n")
         assert main(["featurize", "--config", str(config), "--corpus", str(corpus)]) == 0
+
+
+FEAT = ("featurize", "train", "eval", "predict")
+VERBS = ("gen-synth",) + FEAT
+TRAIN = ("train",)
+
+
+def _int_key(flag, verbs=TRAIN):
+    return ("3", 3, [([flag, "3"], 3, verbs)])
+
+
+def _bool_key(flag):
+    negated = "--no-" + flag[2:]
+    return ("off", False, [([flag], True, TRAIN), ([negated], False, TRAIN)])
+
+
+# Every config key: its text in a config file, the value that text parses to,
+# and each flag spelling with the value it sets and the verbs that accept it.
+SURFACE = {
+    "corpus": ("c.jsonl", "c.jsonl", [(["--corpus", "c.jsonl"], "c.jsonl", FEAT)]),
+    "out_dir": ("d", "d", [(["--out-dir", "d"], "d", TRAIN), (["--out", "d"], "d", TRAIN)]),
+    "lexicon": ("l.txt", "l.txt", [(["--lexicon", "l.txt"], "l.txt", FEAT)]),
+    "threshold": ("0.25", 0.25, [(["--threshold", "0.25"], 0.25, FEAT)]),
+    "ratio": ("0.6", 0.6, [(["--ratio", "0.6"], 0.6, ("train", "eval"))]),
+    "seed": _int_key("--seed", VERBS),
+    "min_freq": _int_key("--min-freq"),
+    "max_len": _int_key("--max-len"),
+    "d1": _int_key("--d1"),
+    "d2": _int_key("--d2"),
+    "d_k": _int_key("--d-k"),
+    "refine_layers": _int_key("--refine-layers"),
+    "refine_heads": _int_key("--refine-heads"),
+    "mlp_hidden": _int_key("--mlp-hidden"),
+    "fusion": ("concat", "concat", [(["--fusion", "concat"], "concat", TRAIN)]),
+    "value_projection": (
+        "separate", "separate", [(["--value-projection", "separate"], "separate", TRAIN)]
+    ),
+    "outer_relu": _bool_key("--outer-relu"),
+    "fusion_query": ("stats", "stats", [(["--fusion-query", "stats"], "stats", TRAIN)]),
+    "learning_rate": ("0.01", 0.01, [(["--lr", "0.01"], 0.01, TRAIN)]),
+    "batch_size": _int_key("--batch-size"),
+    "epochs": _int_key("--epochs"),
+    "early_stop_patience": _int_key("--early-stop-patience"),
+    "shuffle_each_epoch": _bool_key("--shuffle-each-epoch"),
+    "timing": _bool_key("--timing"),
+    "n": _int_key("--n", ("gen-synth",)),
+    "out": ("o", "o", [(["--out", "o"], "o", ("gen-synth", "featurize", "eval", "predict"))]),
+    "checkpoint": ("k.json", "k.json", [(["--checkpoint", "k.json"], "k.json", ("eval", "predict"))]),
+    "split": ("train", "train", [(["--split", "validation"], "validation", ("eval",))]),
+}
+ACCEPTED = {
+    (argv[0], verb) for _, _, spellings in SURFACE.values() for argv, _, verbs in spellings
+    for verb in verbs
+}
+
+
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(RunConfig)] + ["n", "out", "checkpoint", "split"]
+)
+def test_config_key_and_flags(key, tmp_path):
+    text, value, spellings = SURFACE[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n")
+    parsed = parse_config_file(config)
+    assert parsed == {key: value} and type(parsed[key]) is type(value)
+    parser = build_parser()
+    for argv, expected, verbs in spellings:
+        for verb in VERBS:
+            if (argv[0], verb) in ACCEPTED:
+                if verb in verbs:
+                    args = parser.parse_args([verb, *argv])
+                    assert getattr(args, key) == expected, (verb, argv)
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([verb, *argv])

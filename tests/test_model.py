@@ -363,6 +363,12 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="shape|match"):
             load_checkpoint(path)
+        payload["config"]["d1"] = small_config().d1
+        for entry in ([1, 2], "x", {"shape": 3, "data": []}, {"shape": [1, 2], "data": ["a", 1]}):
+            payload["params"]["mlp_b2"] = entry
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DataFormatError, match="mlp_b2"):
+                load_checkpoint(path)
 
     def test_vocab_hash_guard(self, tmp_path):
         _, path = self.build(tmp_path)
@@ -380,3 +386,7 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(path)
+        for text in ("[1, 2]", "7", "null"):
+            path.write_text(text)
+            with pytest.raises(DataFormatError, match="not a JSON object"):
+                load_checkpoint(path)
