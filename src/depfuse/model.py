@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -240,22 +240,10 @@ def _refine_block(model: FusionModel, x: Tensor, index: int) -> Tensor:
     width-4*d1 feed-forward, each with a residual then layer normalization."""
     cfg = model.config
     p = f"refine{index}."
-    heads = cfg.refine_heads
-    dh = cfg.d1 // heads
     q = T.matmul(x, model.params[p + "attn_q"])
     k = T.matmul(x, model.params[p + "attn_k"])
     v = T.matmul(x, model.params[p + "attn_v"])
-    head_outs: List[Tensor] = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = T.slice_cols(q, lo, hi)
-        kh = T.slice_cols(k, lo, hi)
-        vh = T.slice_cols(v, lo, hi)
-        weights = T.softmax_rows(T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh)))
-        head_outs.append(T.matmul(weights, vh))
-    merged = head_outs[0]
-    for extra in head_outs[1:]:
-        merged = T.concat_cols(merged, extra)
+    merged = T.multihead_attention(q, k, v, cfg.refine_heads)
     attended = T.matmul(merged, model.params[p + "attn_o"])
     x = T.layernorm_rows(
         T.add(x, attended), model.params[p + "ln1_gain"], model.params[p + "ln1_bias"]
@@ -383,7 +371,77 @@ def save_checkpoint(model: FusionModel, path: Union[str, Path]) -> None:
     Path(path).write_bytes(text.encode("utf-8"))
 
 
+def _mismatch(what: str, got, expected) -> DataFormatError:
+    missing = sorted(set(expected) - set(got))
+    extra = sorted(set(got) - set(expected))
+    return DataFormatError(f"checkpoint {what} do not match (missing {missing}, extra {extra})")
+
+
+def _finite_array(value, shape: Tuple[int, ...], what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"checkpoint {what} is malformed: {exc!r}") from None
+    if arr.shape != shape:
+        raise DataFormatError(f"checkpoint {what}: shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise DataFormatError(f"checkpoint {what} holds a non-finite value")
+    return arr
+
+
+def _config_from(raw) -> ModelConfig:
+    """Every ModelConfig field, each with the type of its default."""
+    if not isinstance(raw, dict):
+        raise DataFormatError("checkpoint config is not a JSON object")
+    defaults = asdict(ModelConfig())
+    if set(raw) != set(defaults):
+        raise _mismatch("config keys", raw, defaults)
+    for key, default in defaults.items():
+        if type(raw[key]) is not type(default):
+            raise DataFormatError(
+                f"checkpoint config {key} must be {type(default).__name__}, got {raw[key]!r}"
+            )
+    config = ModelConfig(**raw)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise DataFormatError(f"bad checkpoint config: {exc}") from None
+    return config
+
+
+def _vocab_from(raw, table_rows: int) -> Optional[Vocab]:
+    """Token ids must index rows of the embedding table."""
+    if raw is None:
+        return None
+    if not (
+        isinstance(raw, dict)
+        and type(raw.get("min_freq")) is int
+        and isinstance(raw.get("tokens"), dict)
+        and all(type(i) is int and 0 <= i < table_rows for i in raw["tokens"].values())
+    ):
+        raise DataFormatError(
+            f'checkpoint vocab must be {{"min_freq": int, "tokens": {{token: id}}}}'
+            f" with ids below vocab_size {table_rows}"
+        )
+    return Vocab(token_to_id=dict(raw["tokens"]), min_freq=raw["min_freq"])
+
+
+def _normalizer_from(raw) -> Optional[FeatureNormalizer]:
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise DataFormatError("checkpoint normalizer is not a JSON object")
+    mean = _finite_array(raw.get("mean"), (N_FEATURES,), "normalizer mean")
+    std = _finite_array(raw.get("std"), (N_FEATURES,), "normalizer std")
+    if (std <= 0).any():
+        raise DataFormatError("checkpoint normalizer std must be > 0")
+    return FeatureNormalizer(mean=mean, std=std)
+
+
 def load_checkpoint(path: Union[str, Path]) -> FusionModel:
+    """Read a checkpoint written by save_checkpoint. Any departure from that
+    layout, or a non-finite number, raises DataFormatError here rather than
+    at the first forward pass."""
     try:
         payload = json.loads(Path(path).read_bytes().decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -394,45 +452,24 @@ def load_checkpoint(path: Union[str, Path]) -> FusionModel:
         raise DataFormatError(
             f"unsupported checkpoint version {payload.get('version')!r} in {path}"
         )
-    try:
-        config = ModelConfig(**payload["config"])
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"bad checkpoint config: {exc}") from exc
-    config.validate()
-    vocab = None
-    if payload.get("vocab") is not None:
-        vocab = Vocab(
-            token_to_id={str(k): int(v) for k, v in payload["vocab"]["tokens"].items()},
-            min_freq=int(payload["vocab"]["min_freq"]),
-        )
+    config = _config_from(payload.get("config"))
+    vocab = _vocab_from(payload.get("vocab"), config.vocab_size)
     if payload.get("vocab_sha256") != vocab_fingerprint(vocab):
         raise DataFormatError(f"checkpoint {path}: vocabulary hash mismatch")
-    normalizer = None
-    if payload.get("normalizer") is not None:
-        normalizer = FeatureNormalizer(
-            mean=np.asarray(payload["normalizer"]["mean"], dtype=np.float64),
-            std=np.asarray(payload["normalizer"]["std"], dtype=np.float64),
-        )
+    normalizer = _normalizer_from(payload.get("normalizer"))
     expected = _expected_shapes(config)
-    raw_params = payload.get("params", {})
+    raw_params = payload.get("params")
+    if not isinstance(raw_params, dict):
+        raise DataFormatError("checkpoint params is not a JSON object")
     if set(raw_params) != set(expected):
-        missing = sorted(set(expected) - set(raw_params))
-        extra = sorted(set(raw_params) - set(expected))
-        raise DataFormatError(
-            f"checkpoint parameters do not match config (missing {missing}, extra {extra})"
-        )
+        raise _mismatch("parameters", raw_params, expected)
     params: Dict[str, Tensor] = {}
     for name, (rows, cols) in expected.items():
         entry = raw_params[name]
-        try:
-            shape = tuple(entry["shape"])
-            data = np.asarray(entry["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"checkpoint param {name} is malformed: {exc!r}") from None
-        if shape != (rows, cols) or data.shape != (rows * cols,):
+        if not isinstance(entry, dict) or entry.get("shape") != [rows, cols]:
             raise DataFormatError(
-                f"checkpoint param {name}: shape {shape} does not match"
-                f" expected ({rows}, {cols})"
+                f"checkpoint param {name} must be an object with shape [{rows}, {cols}]"
             )
+        data = _finite_array(entry.get("data"), (rows * cols,), f"param {name}")
         params[name] = Tensor(data.reshape(rows, cols), requires_grad=True)
     return FusionModel(config=config, params=params, vocab=vocab, normalizer=normalizer)

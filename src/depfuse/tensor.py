@@ -1,11 +1,12 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately minimal: every value is a rank-2 matrix, batching
-is expressed by stacking rows, and each forward pass records a fresh acyclic
-graph that is consumed by a single backward() call. Forward results are
-checked for NaN/Inf on every operation. Recorded tensors must not be mutated
-in place while their graph is alive; the optimizer mutates leaf parameters
-only between passes.
+is expressed by stacking rows, and each forward pass over gradient-tracked
+tensors records a fresh acyclic graph that is consumed by a single
+backward() call; an op whose inputs track no gradient records nothing.
+Forward results are checked for NaN/Inf on every operation. Recorded
+tensors must not be mutated in place while their graph is alive; the
+optimizer mutates leaf parameters only between passes.
 """
 
 from __future__ import annotations
@@ -323,6 +324,50 @@ def flatten_row(a: Tensor) -> Tensor:
         a._accumulate(g.reshape(r, c))
 
     return _node("flatten_row", a.data.reshape(1, r * c).copy(), (a,), backward)
+
+
+def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product self-attention over column blocks: head h attends
+    with columns [h*dh, (h+1)*dh) of q, k and v, dh = width / heads, and the
+    head outputs are laid side by side. One node with an analytic backward.
+
+    Each head works on fresh contiguous copies of its columns, in the same
+    op order as the slice/transpose/matmul/softmax composition, so values
+    and gradients match that composition bit for bit."""
+    width = q.shape[1]
+    if k.shape[1] != width or v.shape[1] != width or k.shape[0] != v.shape[0]:
+        raise DimensionError(
+            f"multihead_attention: q {q.shape}, k {k.shape}, v {v.shape} do not line up"
+        )
+    if heads < 1 or width % heads != 0:
+        raise DimensionError(f"multihead_attention: {heads} heads do not divide width {width}")
+    dh = width // heads
+    factor = 1.0 / np.sqrt(dh)
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    saved = []
+    data = np.empty((q.shape[0], width))
+    for c in cols:
+        qh, kt, vh = q.data[:, c].copy(), k.data[:, c].T.copy(), v.data[:, c].copy()
+        scores = (qh @ kt) * factor
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        w = e / e.sum(axis=1, keepdims=True)
+        data[:, c] = w @ vh
+        saved.append((qh, kt, vh, w))
+
+    def backward(g: np.ndarray) -> None:
+        gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        for c, (qh, kt, vh, w) in zip(cols, saved):
+            gh = g[:, c].copy()
+            gw = gh @ vh.T
+            gv[:, c] = w.T @ gh
+            gsc = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * factor
+            gq[:, c] = gsc @ kt.T
+            gk[:, c] = (qh.T @ gsc).T
+        for t, gt in ((q, gq), (k, gk), (v, gv)):
+            if t.requires_grad:
+                t._accumulate(gt)
+
+    return _node("multihead_attention", data, (q, k, v), backward)
 
 
 def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -171,9 +171,15 @@ def prepare_examples(
 
 
 def predict_logits(model: FusionModel, examples: Sequence[PreparedExample]) -> np.ndarray:
-    """Logit matrix for a dataset, computed in fixed-size chunks."""
+    """Logit matrix for a dataset, computed in fixed-size chunks.
+
+    Scoring runs on untracked views of the live parameters, so no autograd
+    graph is recorded and each chunk's intermediates are freed as soon as
+    its logits are taken. The forward math is the same as in training."""
     if not examples:
         raise UsageError("cannot run the model on an empty dataset")
+    params = {name: Tensor(p.data) for name, p in model.params.items()}
+    model = FusionModel(model.config, params, model.vocab, model.normalizer)
     rows: List[np.ndarray] = []
     chunk = 64
     for start in range(0, len(examples), chunk):

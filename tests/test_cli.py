@@ -169,13 +169,27 @@ class TestEval:
 
     def test_corrupt_checkpoint_exit_3(self, corpus, trained, tmp_path):
         broken = tmp_path / "broken.json"
-        payload = json.loads((trained / "checkpoint.json").read_text())
-        payload["params"]["mlp_b2"] = [0.0, 0.0]
-        for text in (
-            (trained / "checkpoint.json").read_text()[:50],
+        original = (trained / "checkpoint.json").read_text()
+
+        def edited(change):
+            payload = json.loads(original)
+            change(payload)
+            return json.dumps(payload)
+
+        def nan_first(entry):
+            entry["data"] = [float("nan")] + entry["data"][1:]
+
+        texts = [
+            original[:50],
             "[1, 2]",
-            json.dumps(payload),
-        ):
+            edited(lambda c: c["params"].update(mlp_b2=[0.0, 0.0])),
+            edited(lambda c: c.update(vocab=[1])),
+            edited(lambda c: c.update(normalizer=[1])),
+            edited(lambda c: c.update(params=5)),
+            edited(lambda c: c["config"].update(d1="8")),
+            edited(lambda c: nan_first(c["params"]["mlp_w1"])),
+        ]
+        for text in texts:
             broken.write_text(text)
             code = main(["eval", "--checkpoint", str(broken), "--corpus", str(corpus)])
             assert code == 3, text[:50]

@@ -20,6 +20,7 @@ from depfuse.model import (
     load_checkpoint,
     mlp_forward,
     save_checkpoint,
+    vocab_fingerprint,
 )
 from depfuse.tensor import tensor
 from depfuse.text import CLS, TokenSequence, Vocab
@@ -369,6 +370,60 @@ class TestCheckpoint:
             path.write_text(json.dumps(payload))
             with pytest.raises(DataFormatError, match="mlp_b2"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "part, key, value",
+        [
+            ("vocab", None, [1]),
+            ("vocab", "min_freq", "1"),
+            ("normalizer", None, [1]),
+            ("normalizer", "std", [1.0] * 5),
+            ("normalizer", "std", [0.0] * 6),
+            ("params", None, 5),
+            ("config", None, [1]),
+            ("config", "d1", "8"),
+            ("config", "outer_relu", 0),
+            ("config", "d_k", 0),
+            ("config", "max_len", None),
+        ],
+    )
+    def test_malformed_part_rejected_at_load(self, tmp_path, part, key, value):
+        _, path = self.build(tmp_path)
+        payload = json.loads(path.read_text())
+        if key is None:
+            payload[part] = value
+        elif value is None:
+            del payload[part][key]
+        else:
+            payload[part][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=part.rstrip("s")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected_at_load(self, tmp_path, bad):
+        _, path = self.build(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["params"]["mlp_w1"]["data"][3] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="mlp_w1.*non-finite"):
+            load_checkpoint(path)
+        payload = json.loads(path.read_text())
+        payload["params"]["mlp_w1"]["data"][3] = 0.0
+        payload["normalizer"]["mean"][0] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="normalizer mean.*non-finite"):
+            load_checkpoint(path)
+
+    def test_vocab_ids_must_index_the_embedding_table(self, tmp_path):
+        _, path = self.build(tmp_path)
+        payload = json.loads(path.read_text())
+        vocab = Vocab(token_to_id={"hello": 4, "很": 8}, min_freq=1)
+        payload["vocab"]["tokens"] = vocab.token_to_id
+        payload["vocab_sha256"] = vocab_fingerprint(vocab)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="below vocab_size 8"):
+            load_checkpoint(path)
 
     def test_vocab_hash_guard(self, tmp_path):
         _, path = self.build(tmp_path)

@@ -1,3 +1,6 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,7 +223,30 @@ def op_cases(rng):
     bias = leaf(rng, 1, 6)
     case("layernorm_rows", [ln, gain, bias], (4, 6), lambda: T.layernorm_rows(ln, gain, bias))
 
+    mq = leaf(rng, 4, 6)
+    mk = leaf(rng, 5, 6)
+    mv = leaf(rng, 5, 6)
+    case(
+        "multihead_attention",
+        [mq, mk, mv],
+        (4, 6),
+        lambda: T.multihead_attention(mq, mk, mv, heads=2),
+    )
+
     return cases
+
+
+def test_every_node_building_op_has_a_gradient_case():
+    built = {
+        name
+        for name, fn in inspect.getmembers(T, inspect.isfunction)
+        if not name.startswith("_")
+        and fn.__module__ == T.__name__
+        and "_node(" in inspect.getsource(fn)
+    }
+    assert "multihead_attention" in built and "matmul" in built
+    covered = {name for name, _, _ in op_cases(np.random.default_rng(0))}
+    assert built <= covered, f"no finite-difference case for {sorted(built - covered)}"
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -229,6 +255,48 @@ def test_every_op_matches_finite_differences(seed):
     for name, params, make_loss in op_cases(rng):
         make_loss.__name__ = name
         fd_gradient_check(make_loss, params)
+
+
+def per_head_attention(q, k, v, heads):
+    """The composition multihead_attention fuses: per-head column slices,
+    scaled dot-product attention, heads concatenated left to right."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        lo, hi = h * dh, (h + 1) * dh
+        qh, kh, vh = (T.slice_cols(t, lo, hi) for t in (q, k, v))
+        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
+        outs.append(T.matmul(T.softmax_rows(scores), vh))
+    merged = outs[0]
+    for extra in outs[1:]:
+        merged = T.concat_cols(merged, extra)
+    return merged
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("length", [1, 37, 255, 256])
+def test_multihead_attention_matches_per_head_composition_bitwise(heads, length):
+    # 255 rows puts per-head reductions at unaligned offsets, where a batched
+    # (heads x L x dh) formulation rounds differently in the last bits.
+    rng = np.random.default_rng(length * 10 + heads)
+    inputs = [rng.normal(size=(length, 32)) for _ in range(3)]
+    upstream = Tensor(rng.normal(size=(length, 32)))
+    results = []
+    for attend in (per_head_attention, T.multihead_attention):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in inputs)
+        out = attend(q, k, v, heads)
+        T.sum_all(T.mul(out, upstream)).backward()
+        results.append([out.data, q.grad, k.grad, v.grad])
+    for want, got in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_multihead_attention_shape_errors():
+    a = tensor(np.zeros((3, 4)))
+    with pytest.raises(DimensionError, match="heads"):
+        T.multihead_attention(a, a, a, 3)
+    with pytest.raises(DimensionError, match="line up"):
+        T.multihead_attention(a, tensor(np.zeros((3, 2))), a, 2)
 
 
 class TestSharedAndRepeatedUse:

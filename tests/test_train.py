@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -246,6 +247,29 @@ class TestEvaluate:
         first = evaluate(model, val)
         second = evaluate(model, val)
         assert first == second
+
+    def test_scoring_records_no_graph(self, monkeypatch):
+        vocab, normalizer, tr, val = tiny_dataset(n_per_class=4)
+        model = tiny_model(vocab, normalizer, refine_layers=2, refine_heads=2)
+        batch = [(e.tokens, e.stats) for e in tr + val]
+        want = forward(model, batch).data
+        seen = []
+
+        def recording_forward(m, b):
+            logits = forward(m, b)
+            seen.append(logits)
+            return logits
+
+        # The package re-exports the train() function under the module's name.
+        train_module = importlib.import_module("depfuse.train")
+        monkeypatch.setattr(train_module, "forward", recording_forward)
+        got = predict_logits(model, tr + val)
+        assert seen
+        for logits in seen:
+            assert not logits.requires_grad
+            assert logits._parents == ()
+        assert all(p.grad is None for p in model.params.values())
+        assert got.tobytes() == want.tobytes()
 
     def test_probability_and_tie_breaking(self):
         logits = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
