@@ -193,26 +193,24 @@ def init_params(
     """Deterministic initialization: Glorot-uniform weight matrices, zero
     biases, unit layernorm gains, N(0, 0.02) embedding and positional tables.
     Parameters are drawn from one seeded stream in creation order, so a fixed
-    (config, seed) reproduces bit-identical values."""
+    (config, seed) reproduces bit-identical values. Each array is filled
+    row-major by one block draw, which equals a scalar draw per weight."""
     config.validate()
     rng = SplitMix64(derive_seed(seed, STREAM_INIT))
 
     def uniform_fill(rows: int, cols: int, limit: float) -> np.ndarray:
-        out = np.empty((rows, cols))
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = (rng.uniform() * 2.0 - 1.0) * limit
+        # The ops and order of (uniform() * 2.0 - 1.0) * limit per weight.
+        out = rng.uniforms(rows * cols).reshape(rows, cols)
+        out *= 2.0
+        out -= 1.0
+        out *= limit
         return out
 
     def glorot(rows: int, cols: int) -> np.ndarray:
         return uniform_fill(rows, cols, math.sqrt(6.0 / (rows + cols)))
 
     def table(rows: int, cols: int) -> np.ndarray:
-        out = np.empty((rows, cols))
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = rng.normal(0.0, 0.02)
-        return out
+        return rng.normals(rows * cols, 0.0, 0.02).reshape(rows, cols)
 
     params: Dict[str, Tensor] = {}
     for name, (rows, cols) in _expected_shapes(config).items():

@@ -149,7 +149,8 @@ def train_from_records(
     ]
     normalizer = fit_normalizer(train_vectors)
     train_set = prepare_examples(
-        train_records, vocab, normalizer, scorer, config.threshold, config.max_len
+        train_records, vocab, normalizer, scorer, config.threshold, config.max_len,
+        vectors=train_vectors,
     )
     val_set = prepare_examples(
         val_records, vocab, normalizer, scorer, config.threshold, config.max_len

@@ -4,9 +4,12 @@ The engine is deliberately minimal: every value is a rank-2 matrix, batching
 is expressed by stacking rows, and each forward pass over gradient-tracked
 tensors records a fresh acyclic graph that is consumed by a single
 backward() call; an op whose inputs track no gradient records nothing.
-Forward results are checked for NaN/Inf on every operation. Recorded
-tensors must not be mutated in place while their graph is alive; the
-optimizer mutates leaf parameters only between passes.
+The embedding lookup (gather_rows) is row-sparse in backward: it adds into
+the table's gradient only the rows its ids touched, and the table-sized
+gradient array is allocated once per pass, not once per lookup. Forward
+results are checked for NaN/Inf on every operation. Recorded tensors must
+not be mutated in place while their graph is alive; the optimizer mutates
+leaf parameters only between passes.
 """
 
 from __future__ import annotations
@@ -309,9 +312,20 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         )
 
     def backward(g: np.ndarray) -> None:
-        buf = np.zeros(table.shape)
-        np.add.at(buf, idx, g)
-        table._accumulate(buf)
+        # Row-sparse: sum the gradient of each distinct id, then add only
+        # those rows. bincount adds its weights in input order starting from
+        # 0.0, so each row sum equals the dense np.add.at one bit for bit,
+        # and skipping untouched rows skips only additions of 0.0.
+        rows, inv = np.unique(idx, return_inverse=True)
+        cols = g.shape[1]
+        flat = (inv[:, None] * cols + np.arange(cols)).reshape(-1)
+        sums = np.bincount(flat, weights=g.reshape(-1), minlength=rows.size * cols)
+        sums = sums.reshape(rows.size, cols)
+        if table.grad is None:
+            table.grad = np.zeros(table.shape)
+            table.grad[rows] = sums
+        else:
+            table.grad[rows] += sums
 
     return _node("gather_rows", table.data[idx].copy(), (table,), backward)
 

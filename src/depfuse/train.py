@@ -1,11 +1,8 @@
 """Adam optimization with cross-entropy loss, the mini-batch training loop,
 and the evaluation driver.
 
-``learning_rate`` defaults to the desk-scale 1e-3. FULL_SCALE_LEARNING_RATE
-(1e-6) is the conservative setting appropriate when fine-tuning on top of a
-large pretrained encoder; with the toy trainable encoder and random init it
-is far too small to converge in any reasonable number of epochs, so it is
-kept only as a documented reference value.
+``learning_rate`` defaults to the desk-scale 1e-3, which the toy trainable
+encoder needs to converge from random init.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from .features import (
     DEFAULT_NEGATIVITY_THRESHOLD,
     FeatureNormalizer,
     SentimentScorer,
+    StatFeatureVector,
     apply_normalizer,
     extract_features,
 )
@@ -32,7 +30,8 @@ from .rng import STREAM_TRAIN, SplitMix64, derive_seed
 from .tensor import Tensor
 from .text import Vocab, build_user_sequence
 
-FULL_SCALE_LEARNING_RATE = 1e-6
+# Elements per block of an Adam update (256 KiB of float64 per array).
+_ADAM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -117,19 +116,42 @@ def cross_entropy_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
 def adam_step(
     params: Dict[str, Tensor], state: AdamState, config: TrainConfig
 ) -> None:
-    """One Adam update with bias correction; parameters are edited in place."""
+    """One Adam update with bias correction. The moments and the parameters
+    are updated in place, a block of rows at a time, so that each block's
+    arrays stay in cache across the update's dozen passes and the only
+    temporaries are two block-sized scratch arrays. Every elementwise op
+    keeps the operands and the order of
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p = p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    so the values equal that out-of-place formula bit for bit."""
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
     for name, p in params.items():
         if p.grad is None:
             raise UsageError(f"parameter {name} has no gradient; run backward first")
-        g = p.grad
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
-        p.data = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        rows = max(1, _ADAM_BLOCK // p.shape[1])
+        for start in range(0, p.shape[0], rows):
+            block = slice(start, start + rows)
+            w, g = p.data[block], p.grad[block]
+            m, v = state.m[name][block], state.v[name][block]
+            step = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += step
+            np.multiply(g, 1.0 - b2, out=step)
+            step *= g
+            v *= b2
+            v += step
+            np.divide(m, 1.0 - b1**t, out=step)
+            denom = np.divide(v, 1.0 - b2**t)
+            np.sqrt(denom, out=denom)
+            denom += config.epsilon
+            step *= config.learning_rate
+            step /= denom
+            w -= step
 
 
 @dataclass(frozen=True)
@@ -148,11 +170,16 @@ def prepare_examples(
     threshold: float = DEFAULT_NEGATIVITY_THRESHOLD,
     max_len: int = 256,
     embeddings: Optional[Dict[str, np.ndarray]] = None,
+    vectors: Optional[Sequence[StatFeatureVector]] = None,
 ) -> List[PreparedExample]:
     """Turn records into model inputs. When an embeddings map is supplied,
-    every record must appear in it (the toy encoder is bypassed)."""
+    every record must appear in it (the toy encoder is bypassed). Raw
+    feature vectors already extracted for the records, in the same order,
+    may be passed as ``vectors`` so they are not extracted again."""
+    if vectors is not None and len(vectors) != len(records):
+        raise UsageError(f"{len(vectors)} feature vectors for {len(records)} records")
     out: List[PreparedExample] = []
-    for record in records:
+    for i, record in enumerate(records):
         if embeddings is not None:
             if record.user_id not in embeddings:
                 raise DataFormatError(
@@ -161,7 +188,8 @@ def prepare_examples(
             tokens: TokenInput = embeddings[record.user_id]
         else:
             tokens = build_user_sequence(record, vocab, max_len)
-        stats = apply_normalizer(extract_features(record, scorer, threshold), normalizer)
+        raw = vectors[i] if vectors is not None else extract_features(record, scorer, threshold)
+        stats = apply_normalizer(raw, normalizer)
         out.append(
             PreparedExample(
                 user_id=record.user_id, tokens=tokens, stats=stats, label=record.label

@@ -3,10 +3,13 @@
 Everything here is deliberately written with plain Python loops and the math
 module only (no numpy, no imports from the package's numerical code) so
 these functions stay an independent route against which the library is
-checked.
+checked. The one exception is ``adam_out_of_place``: the out-of-place numpy
+Adam formula, the byte-level reference for the in-place optimizer.
 """
 
 import math
+
+import numpy as np
 
 
 def mat_mul(a, b):
@@ -133,6 +136,17 @@ def adam_trace(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
         p = p - lr * m_hat / (math.sqrt(v_hat) + eps)
         values.append(p)
     return values
+
+
+def adam_out_of_place(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step on numpy arrays, each result a new array; returns the
+    new (p, m, v)."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p, m, v
 
 
 def metrics_recount(preds, labels):

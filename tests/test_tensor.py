@@ -299,6 +299,36 @@ def test_multihead_attention_shape_errors():
         T.multihead_attention(a, tensor(np.zeros((3, 2))), a, 2)
 
 
+def test_gather_rows_backward_equals_dense_add_at_bitwise():
+    # Several lookups share one table, with repeated and overlapping ids and
+    # a gradient that starts as None. The sparse backward must give exactly
+    # the dense sum: per lookup, np.add.at into zeros; lookups added in the
+    # order backward reaches them, which here is the forward order. Negative
+    # zeros upstream check that no -0.0 leaks into a row whose sum is zero.
+    rng = np.random.default_rng(21)
+    rows, cols = 40, 5
+    lookups = [[3, 3, 7, 0, 3], [7, 39, 39, 12], [0], [12, 3, 3, 3, 25, 7, 7]]
+    upstream = []
+    for ids in lookups:
+        g = rng.normal(size=(len(ids), cols)) * 10.0 ** rng.integers(-3, 4, size=(len(ids), 1))
+        g[rng.random(size=g.shape) < 0.2] = -0.0
+        upstream.append(g)
+    table = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
+    assert table.grad is None
+    outs = [T.mul(T.gather_rows(table, ids), Tensor(g)) for ids, g in zip(lookups, upstream)]
+    total = outs[0]
+    for out in outs[1:]:
+        total = T.stack_rows([total, out])
+    T.sum_all(total).backward()
+
+    want = None
+    for ids, g in zip(lookups, upstream):
+        buf = np.zeros((rows, cols))
+        np.add.at(buf, np.asarray(ids), g)
+        want = buf if want is None else want + buf
+    assert table.grad.tobytes() == want.tobytes()
+
+
 class TestSharedAndRepeatedUse:
     def test_tensor_used_twice_accumulates(self):
         rng = np.random.default_rng(7)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from depfuse import pipeline
 from depfuse.errors import ConfigError, DataFormatError, UsageError
 from depfuse.features import default_scorer, extract_features, fit_normalizer
 from depfuse.model import ModelConfig, forward, init_params
@@ -130,6 +131,33 @@ class TestAdam:
             params["w"].grad = rng.normal(size=(3, 4))
             adam_step(params, state, config)
         np.testing.assert_array_equal(params["w"].data, snapshot)
+
+    def test_in_place_step_equals_out_of_place_formula_bitwise(self):
+        rng = np.random.default_rng(17)
+        shapes = {"table": (4700, 7), "row": (1, 7)}
+        # The table spans two of the update's row blocks.
+        assert 4700 * 7 > importlib.import_module("depfuse.train")._ADAM_BLOCK
+        params = {
+            name: Tensor(rng.normal(size=shape), requires_grad=True)
+            for name, shape in shapes.items()
+        }
+        want = {
+            name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
+            for name, p in params.items()
+        }
+        state = AdamState.for_params(params)
+        config = TrainConfig(learning_rate=3e-3)
+        for t in range(1, 6):
+            for name, p in params.items():
+                # Zero rows, as the embedding gradient has, and wide magnitudes.
+                g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3, size=p.shape)
+                g[rng.random(size=p.shape[0]) < 0.5] = 0.0
+                p.grad = g
+                want[name] = oracles.adam_out_of_place(*want[name], g, t, lr=3e-3)
+            adam_step(params, state, config)
+            for name, p in params.items():
+                got = (p.data, state.m[name], state.v[name])
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want[name]]
 
     def test_lr_cannot_be_zero_in_training(self):
         with pytest.raises(ConfigError):
@@ -300,6 +328,31 @@ class TestPrepareExamples:
         model = tiny_model(vocab, normalizer)
         logits = predict_logits(model, examples)
         assert logits.shape == (len(records), 2)
+
+    def test_given_vectors_match_extraction(self):
+        records = generate_dataset(SynthDatasetSpec(n_per_class=3, seed=4))
+        scorer = default_scorer()
+        vocab = build_vocab(records)
+        vectors = [extract_features(r, scorer) for r in records]
+        normalizer = fit_normalizer(vectors)
+        given = prepare_examples(records, vocab, normalizer, scorer, vectors=vectors)
+        extracted = prepare_examples(records, vocab, normalizer, scorer)
+        assert [e.stats.tobytes() for e in given] == [e.stats.tobytes() for e in extracted]
+        with pytest.raises(UsageError, match="feature vectors"):
+            prepare_examples(records, vocab, normalizer, scorer, vectors=vectors[1:])
+
+    def test_training_extracts_each_users_features_once(self, monkeypatch):
+        records = generate_dataset(SynthDatasetSpec(n_per_class=4, seed=3))
+        calls = []
+
+        def counting(record, *args, **kwargs):
+            calls.append(record.user_id)
+            return extract_features(record, *args, **kwargs)
+
+        for module in ("depfuse.pipeline", "depfuse.train"):
+            monkeypatch.setattr(importlib.import_module(module), "extract_features", counting)
+        pipeline.train_from_records(records, pipeline.RunConfig(epochs=1, max_len=16, d1=4))
+        assert sorted(calls) == sorted(r.user_id for r in records)
 
 
 class TestHistoryCsv:
