@@ -21,6 +21,7 @@ across reruns with identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import Field, dataclass, fields
 from pathlib import Path
@@ -51,6 +52,8 @@ from .train import (
 )
 
 SPLITS = ("all", "train", "validation")
+
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,18 @@ def _load_records(corpus: str) -> List[UserRecord]:
     return records
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as one CSV field, quoted (quotes doubled) only when it holds
+    a comma, a quote, CR or LF; ``csv.reader`` reads it back unchanged.
+
+    ``csv.writer`` with ``lineterminator="\\n"`` leaves a lone CR unquoted on
+    Python 3.11, which a reader then takes for a row break.
+    """
+    if _CSV_QUOTED.search(value):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
 def _write_text(out: Optional[str], text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -175,9 +190,9 @@ def cmd_featurize(config: RunConfig, opts: VerbOptions) -> int:
     for record in records:
         v = extract_features(record, scorer, config.threshold)
         lines.append(
-            f"{record.user_id},{record.label},{v.p_original:.6f},{v.p_late_night:.6f},"
-            f"{v.posts_per_week:.6f},{v.posting_time_sd:.6f},{v.p_negative:.6f},"
-            f"{v.image_freq:.6f}"
+            f"{_csv_field(record.user_id)},{record.label},{v.p_original:.6f},"
+            f"{v.p_late_night:.6f},{v.posts_per_week:.6f},{v.posting_time_sd:.6f},"
+            f"{v.p_negative:.6f},{v.image_freq:.6f}"
         )
     _write_text(opts.out, "\n".join(lines) + "\n")
     return 0
@@ -267,7 +282,7 @@ def cmd_predict(config: RunConfig, opts: VerbOptions) -> int:
     preds = predictions_from_logits(logits)
     lines = ["user_id,prob_depressed,prediction"]
     for example, prob, pred in zip(examples, probs, preds):
-        lines.append(f"{example.user_id},{prob:.6f},{pred}")
+        lines.append(f"{_csv_field(example.user_id)},{prob:.6f},{pred}")
     _write_text(opts.out, "\n".join(lines) + "\n")
     return 0
 

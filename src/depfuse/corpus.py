@@ -59,9 +59,17 @@ _USER_FIELDS = (
 
 
 def parse_posting_time(value: str) -> datetime:
-    """Parse the canonical second-precision local timestamp."""
+    """Parse the canonical second-precision local timestamp.
+
+    Accepts exactly what ``datetime.strptime(value, _TIME_FORMAT)`` accepts
+    among strings of the ``_TIME_RE`` shape, and returns the same datetime.
+    """
     if not _TIME_RE.match(value):
         raise ValueError(f"not in YYYY-MM-DD HH:MM:SS form: {value!r}")
+    if value.isascii():
+        return datetime.fromisoformat(value)
+    # \d also matches non-ASCII decimal digits, which strptime reads in some
+    # fields (the year, a second digit) and fromisoformat never does.
     return datetime.strptime(value, _TIME_FORMAT)
 
 
@@ -222,6 +230,11 @@ def parse_corpus(source: Union[bytes, BinaryIO]) -> Tuple[List[UserRecord], List
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             issues.append(ParseIssue(lineno, f"invalid JSON: {exc.msg}"))
+            continue
+        except (ValueError, RecursionError) as exc:
+            # Valid JSON past the decoder's limits: an integer literal longer
+            # than int's digit limit, or nesting deeper than the recursion limit.
+            issues.append(ParseIssue(lineno, f"invalid JSON: {exc}"))
             continue
         try:
             record = _record_from_obj(obj)

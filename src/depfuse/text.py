@@ -2,13 +2,21 @@
 
 Each user's nickname, profile and tweet texts are concatenated into one
 token sequence (oldest tweet first, so the timeline reads in narrative
-order). Tokenization is whitespace splitting, with any chunk containing CJK
-ideographs exploded into single codepoints and non-CJK text lowercased.
+order).
+
+Tokenizer rule: split the text on whitespace (``str.split()``). A chunk
+holding at least one codepoint of the CJK ranges U+3400-U+4DBF (extension
+A), U+4E00-U+9FFF (unified ideographs) or U+F900-U+FAFF (compatibility
+ideographs) becomes one token per codepoint, each lowercased on its own
+(``"ΑΣ我"`` gives ``α``, ``σ``, ``我``: no final-sigma rule). Any other chunk
+is one token, lowercased as a whole.
 """
 
 from __future__ import annotations
 
+import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, TextIO, Tuple
 
@@ -30,21 +38,22 @@ _CJK_RANGES = (
     (0xF900, 0xFAFF),  # CJK compatibility ideographs
 )
 
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+_find_cjk = re.compile(
+    "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES) + "]"
+).search
 
 
 def tokenize(text: str) -> List[str]:
-    """Whitespace split; chunks containing CJK split per codepoint; non-CJK
-    lowercased."""
+    """Tokens of one text, by the rule in the module docstring."""
     tokens: List[str] = []
+    append, extend = tokens.append, tokens.extend
     for chunk in text.split():
-        if any(_is_cjk(ch) for ch in chunk):
-            tokens.extend(ch.lower() for ch in chunk)
+        if _find_cjk(chunk):
+            # Per codepoint: str.lower() on the whole chunk would apply
+            # final-sigma rules across the codepoints.
+            extend(map(str.lower, chunk))
         else:
-            tokens.append(chunk.lower())
+            append(chunk.lower())
     return tokens
 
 
@@ -61,19 +70,6 @@ class Vocab:
     def encode(self, token: str) -> int:
         return self.token_to_id.get(token, UNK)
 
-    def decode(self, token_id: int) -> str:
-        if token_id < len(_SPECIALS):
-            return _SPECIALS[token_id]
-        for token, tid in self.token_to_id.items():
-            if tid == token_id:
-                return token
-        raise KeyError(token_id)
-
-    def id_to_token(self) -> Dict[int, str]:
-        out = {i: s for i, s in enumerate(_SPECIALS)}
-        out.update({tid: tok for tok, tid in self.token_to_id.items()})
-        return out
-
 
 def build_vocab(records: Iterable[UserRecord], min_freq: int = 1) -> Vocab:
     """Count tokens over nicknames, profiles and tweet texts; keep tokens with
@@ -81,12 +77,11 @@ def build_vocab(records: Iterable[UserRecord], min_freq: int = 1) -> Vocab:
     order with lexicographic tiebreak, so a fixed corpus yields a fixed map."""
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
-    counts: Dict[str, int] = {}
+    counts: Counter = Counter()
     for record in records:
         streams = [record.nickname, record.profile] + [t.text for t in record.tweets]
         for text in streams:
-            for token in tokenize(text):
-                counts[token] = counts.get(token, 0) + 1
+            counts.update(tokenize(text))
     kept = sorted(
         (tok for tok, n in counts.items() if n >= min_freq),
         key=lambda tok: (-counts[tok], tok),
@@ -111,15 +106,16 @@ def build_user_sequence(user: UserRecord, vocab: Vocab, max_len: int = 256) -> T
     truncated to max_len and padded with PAD."""
     if max_len < 8:
         raise ValueError(f"max_len must be >= 8, got {max_len}")
+    encode = vocab.token_to_id.get
     ids: List[int] = [CLS]
-    ids.extend(vocab.encode(t) for t in tokenize(user.nickname))
+    ids.extend([encode(t, UNK) for t in tokenize(user.nickname)])
     ids.append(SEP)
-    ids.extend(vocab.encode(t) for t in tokenize(user.profile))
+    ids.extend([encode(t, UNK) for t in tokenize(user.profile)])
     ids.append(SEP)
     for i, tweet in enumerate(user.tweets):
         if i > 0:
             ids.append(SEP)
-        ids.extend(vocab.encode(t) for t in tokenize(tweet.text))
+        ids.extend([encode(t, UNK) for t in tokenize(tweet.text)])
     ids = ids[:max_len]
     true_len = len(ids)
     ids.extend([PAD] * (max_len - true_len))

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -207,6 +208,28 @@ class TestEval:
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
         assert set(obj) == {"accuracy", "precision", "recall", "f1", "confusion"}
+
+
+class TestCsvQuoting:
+    IDS = ["u,1", 'u"2\nx', "u3\r", "plain"]
+
+    def test_ids_read_back_through_csv_reader(self, corpus, trained, tmp_path):
+        lines = corpus.read_text(encoding="utf-8").strip().split("\n")[: len(self.IDS)]
+        objs = [dict(json.loads(line), user_id=uid) for line, uid in zip(lines, self.IDS)]
+        odd = tmp_path / "odd.jsonl"
+        odd.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+        feats, preds = tmp_path / "f.csv", tmp_path / "p.csv"
+        assert main(["featurize", "--corpus", str(odd), "--out", str(feats)]) == 0
+        assert main(["predict", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--corpus", str(odd), "--out", str(preds)]) == 0
+        for path, width in ((feats, 8), (preds, 3)):
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert [row[0] for row in rows[1:]] == self.IDS
+            assert all(len(row) == width for row in rows)
+            # Ids that need no quotes are written as they were.
+            last_line = "plain," + ",".join(rows[-1][1:])
+            assert path.read_text(encoding="utf-8").endswith("\n" + last_line + "\n")
 
 
 class TestPredict:

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import make_user
 from depfuse.corpus import (
+    _TIME_RE,
     ParseIssue,
     SplitSpec,
     parse_corpus,
+    parse_posting_time,
     record_to_obj,
     serialize_records,
     split_dataset,
@@ -56,6 +58,20 @@ def valid_line(user_id="u1", label=0, tweets=None, **overrides):
 
 def as_bytes(*objs):
     return ("\n".join(json.dumps(o, ensure_ascii=False) for o in objs) + "\n").encode()
+
+
+# Strings of the strict timestamp shape that name no valid second.
+OUT_OF_RANGE_TIMES = [
+    "2020-00-01 00:00:00",
+    "2020-13-01 00:00:00",
+    "2020-01-00 00:00:00",
+    "2020-02-30 00:00:00",
+    "2021-02-29 00:00:00",
+    "2020-01-01 24:00:00",
+    "2020-01-01 00:60:00",
+    "2020-01-01 00:00:60",
+    "0000-01-01 00:00:00",
+]
 
 
 class TestParse:
@@ -127,6 +143,22 @@ class TestParse:
         bad["tweets"][0]["posting_time"] = "2020/03/02 08:00"
         records, issues = parse_corpus(as_bytes(bad))
         assert records == [] and "posting_time" in issues[0].reason
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE_TIMES)
+    def test_out_of_range_timestamp_reported(self, value):
+        bad = valid_line()
+        bad["tweets"][1]["posting_time"] = value
+        records, issues = parse_corpus(as_bytes(bad))
+        assert records == [] and len(issues) == 1
+        assert "posting_time" in issues[0].reason
+
+    @pytest.mark.parametrize(
+        "line", [b"[" * 100_000, b'{"user_id": ' + b"1" * 5000 + b"}"], ids=["deep", "long-int"]
+    )
+    def test_json_past_decoder_limits_reported(self, line):
+        records, issues = parse_corpus(as_bytes(valid_line("a")) + line + b"\n")
+        assert [r.user_id for r in records] == ["a"]
+        assert [i.line for i in issues] == [2] and "invalid JSON" in issues[0].reason
 
     def test_unknown_keys_ignored(self):
         records, issues = parse_corpus(as_bytes(valid_line(extra_field=1)))
@@ -206,6 +238,104 @@ class TestRoundTrip:
         assert record_to_obj(again[0])["tweets"] == sorted(
             record_to_obj(records[0])["tweets"], key=lambda t: t["posting_time"]
         )
+
+
+# Other scripts' decimal digits, which the timestamp shape's \d also matches.
+_OTHER_DIGITS = ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９")
+
+
+# Out-of-range or edge values per field (year, month, day, hour, minute, second).
+_FIELD_EDGES = (
+    [0, 1, 1900, 2000, 9999],
+    [0, 1, 12, 13, 99],
+    [0, 1, 29, 30, 31, 32, 99],
+    [0, 23, 24, 99],
+    [0, 59, 60, 99],
+    [0, 59, 60, 61, 99],
+)
+
+
+@st.composite
+def shaped_times(draw):
+    """Strings of the strict YYYY-MM-DD HH:MM:SS shape: a valid time with up
+    to two fields set to an edge value and up to two digits written in
+    another script, sometimes with a trailing newline."""
+    when = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)))
+    fields = [when.year, when.month, when.day, when.hour, when.minute, when.second]
+    for k in draw(st.sets(st.integers(0, 5), max_size=2)):
+        fields[k] = draw(st.sampled_from(_FIELD_EDGES[k]))
+    chars = list("%04d-%02d-%02d %02d:%02d:%02d" % tuple(fields))
+    digit_positions = [i for i, c in enumerate(chars) if c.isdigit()]
+    for i in draw(st.sets(st.sampled_from(digit_positions), max_size=2)):
+        chars[i] = draw(st.sampled_from(_OTHER_DIGITS))[int(chars[i])]
+    return "".join(chars) + draw(st.sampled_from(["", "\n"]))
+
+
+def assert_parses_like_strptime(value):
+    """Same datetime as strptime, or ValueError from both."""
+    assert _TIME_RE.match(value)
+    try:
+        expected = datetime.strptime(value, "%Y-%m-%d %H:%M:%S")
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_posting_time(value)
+    else:
+        assert parse_posting_time(value) == expected
+
+
+class TestPostingTime:
+    @pytest.mark.parametrize(
+        "value",
+        OUT_OF_RANGE_TIMES
+        + ["2020-02-29 23:59:59", "٢٠٢٠-01-01 00:00:0٥", "2020-01-01 00:00:00\n"],
+    )
+    def test_named_edges_match_strptime(self, value):
+        assert_parses_like_strptime(value)
+
+    @given(shaped_times())
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    def test_matches_strptime(self, value):
+        assert_parses_like_strptime(value)
+
+
+@st.composite
+def corpus_lines(draw):
+    """One corpus line: arbitrary bytes, or a valid line with one key dropped,
+    one value of the wrong type, a bad timestamp or invalid UTF-8."""
+    kind = draw(st.sampled_from(["bytes", "valid", "drop", "type", "time", "utf8"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40) | st.sampled_from([b"[" * 100_000, b"1" * 5000]))
+    obj = draw(record_objs)
+    holder = obj
+    if obj["tweets"] and (kind == "time" or draw(st.booleans())):
+        holder = draw(st.sampled_from(obj["tweets"]))
+    if kind == "drop":
+        del holder[draw(st.sampled_from(sorted(holder)))]
+    elif kind == "type":
+        holder[draw(st.sampled_from(sorted(holder)))] = draw(
+            st.sampled_from([None, True, -1, 1.5, "1", [], {}])
+        )
+    elif kind == "time" and holder is not obj:
+        holder["posting_time"] = draw(shaped_times() | st.text(max_size=20))
+    line = json.dumps(obj, ensure_ascii=False).encode()
+    if kind == "utf8":
+        cut = draw(st.integers(0, len(line)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xe4\xb8", b"\xed\xa0\x80"]))
+        line = line[:cut] + bad + line[cut:]
+    return line
+
+
+class TestParseFuzz:
+    @given(st.lists(corpus_lines(), max_size=6))
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_each_line_is_one_record_or_one_issue(self, lines):
+        data = b"\n".join(lines) + b"\n"
+        records, issues = parse_corpus(data)
+        nonblank = {n for n, raw in enumerate(data.split(b"\n"), start=1) if raw.strip()}
+        issue_lines = [issue.line for issue in issues]
+        assert len(set(issue_lines)) == len(issue_lines)
+        assert set(issue_lines) <= nonblank
+        assert len(records) + len(issues) == len(nonblank)
 
 
 def stub_records(labels):

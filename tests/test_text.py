@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_tweet, make_user
 from depfuse.errors import DataFormatError
 from depfuse.text import (
@@ -17,6 +18,16 @@ from depfuse.text import (
     load_precomputed,
     tokenize,
 )
+
+
+# Half the characters are the codepoints on each side of every CJK range
+# edge, whitespace that str.split() breaks on, and letters whose lowercase
+# depends on context or is longer than one codepoint; half are ASCII.
+TOKENIZER_ALPHABET = st.sampled_from(
+    [chr(cp) for cp in (0x33FF, 0x3400, 0x4DBF, 0x4DC0, 0x4DFF, 0x4E00,
+                        0x9FFF, 0xA000, 0xF8FF, 0xF900, 0xFAFF, 0xFB00)]
+    + ["\u3000", "\u00a0", "\t", "\n", "İ", "Σ", "ẞ"]
+) | st.sampled_from([chr(cp) for cp in range(0x20, 0x7F)])
 
 
 class TestTokenize:
@@ -35,6 +46,16 @@ class TestTokenize:
 
     def test_mixed_chunk_splits_fully(self):
         assert tokenize("A我b") == ["a", "我", "b"]
+
+    def test_cjk_chunk_lowercases_each_codepoint_alone(self):
+        # A whole-chunk lower() would turn the chunk-final sigma into "ς".
+        assert tokenize("ΑΣ我") == ["α", "σ", "我"]
+        assert tokenize("ΑΣ 我") == ["ας", "我"]
+
+    @given(st.text(alphabet=TOKENIZER_ALPHABET, max_size=40))
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_matches_straight_loop_oracle(self, text):
+        assert tokenize(text) == oracles._tokens(text)
 
 
 class TestVocab:
@@ -61,12 +82,6 @@ class TestVocab:
         vocab = build_vocab(records)
         ids = sorted([0, 1, 2, 3] + list(vocab.token_to_id.values()))
         assert ids == list(range(len(vocab)))
-
-    def test_decode_round_trip(self):
-        records = [make_user(tweets=[make_tweet(text="alpha beta 很")])]
-        vocab = build_vocab(records)
-        for token in ("alpha", "beta", "很"):
-            assert vocab.decode(vocab.encode(token)) == token
 
     def test_min_freq_validated(self):
         with pytest.raises(ValueError):
