@@ -12,7 +12,8 @@ A corpus is UTF-8 JSON Lines, one user per line:
 Crawled data is dirty, so malformed lines are skipped and reported as
 ParseIssue entries instead of aborting the whole file. Unknown keys are
 ignored (forward compatibility); all schema keys above are required,
-``birthday`` may be null.
+``birthday`` may be null. A string field holding a lone surrogate (JSON's
+``\\ud800`` escape) is malformed: no UTF-8 output could hold it.
 """
 
 from __future__ import annotations
@@ -199,6 +200,21 @@ def _record_from_obj(obj: dict) -> UserRecord:
     )
 
 
+def _check_encodable(obj: dict) -> None:
+    """Reject a lone surrogate in any string a record keeps. No surrogate
+    passes the gender or posting_time checks, and unknown keys are dropped,
+    so the free-text fields are the ones to check."""
+    named = [(f"field {name}", obj[name]) for name in ("user_id", "nickname", "profile")]
+    if obj["birthday"] is not None:
+        named.append(("field birthday", obj["birthday"]))
+    named += [(f"tweet {i}: field text", t["text"]) for i, t in enumerate(obj["tweets"])]
+    for name, value in named:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{name} holds a lone surrogate, which UTF-8 cannot encode") from None
+
+
 def parse_corpus(source: Union[bytes, BinaryIO]) -> Tuple[List[UserRecord], List[ParseIssue]]:
     """Parse a JSON Lines corpus from a byte stream.
 
@@ -238,6 +254,10 @@ def parse_corpus(source: Union[bytes, BinaryIO]) -> Tuple[List[UserRecord], List
             continue
         try:
             record = _record_from_obj(obj)
+            # Strict UTF-8 decoding rejects encoded surrogates, so a lone
+            # one can only come from a \u escape.
+            if b"\\u" in raw:
+                _check_encodable(obj)
         except ValueError as exc:
             issues.append(ParseIssue(lineno, str(exc)))
             continue

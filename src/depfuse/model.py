@@ -11,11 +11,12 @@ swap with them so each projection matches its input side.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,7 +85,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class CrossAttentionLayer:
-    """Projections for the fusion attention; w_v may alias w_k."""
+    """Projections for the fusion attention; w_v may alias w_k, in which case
+    the keys double as the values. Scores are scaled by 1/sqrt of the
+    projection width, which is d_k."""
 
     w_q: Tensor
     w_k: Tensor
@@ -233,15 +236,21 @@ def init_params(
 TokenInput = Union[TokenSequence, np.ndarray]
 
 
-def _refine_block(model: FusionModel, x: Tensor, index: int) -> Tensor:
-    """Post-norm transformer encoder block: multi-head self-attention and a
-    width-4*d1 feed-forward, each with a residual then layer normalization."""
+def _bounds(lengths: Sequence[int]) -> List[int]:
+    """Segment bounds of consecutive runs of the given lengths."""
+    return [0, *itertools.accumulate(lengths)]
+
+
+def _refine_block(model: FusionModel, x: Tensor, index: int, bounds: List[int]) -> Tensor:
+    """Post-norm transformer encoder block: multi-head self-attention within
+    each user's rows and a width-4*d1 feed-forward, each with a residual then
+    layer normalization."""
     cfg = model.config
     p = f"refine{index}."
     q = T.matmul(x, model.params[p + "attn_q"])
     k = T.matmul(x, model.params[p + "attn_k"])
     v = T.matmul(x, model.params[p + "attn_v"])
-    merged = T.multihead_attention(q, k, v, cfg.refine_heads)
+    merged = T.multihead_attention(q, k, v, cfg.refine_heads, bounds, bounds)
     attended = T.matmul(merged, model.params[p + "attn_o"])
     x = T.layernorm_rows(
         T.add(x, attended), model.params[p + "ln1_gain"], model.params[p + "ln1_bias"]
@@ -253,53 +262,79 @@ def _refine_block(model: FusionModel, x: Tensor, index: int) -> Tensor:
     )
 
 
-def encode_tokens(model: FusionModel, item: TokenInput) -> Tensor:
-    """Token matrix for one user: embedding + positional rows through any
-    refinement blocks. PAD rows never enter the computation: ids are cut at
-    true_len first (an all-PAD sequence falls back to the CLS row alone).
-    Precomputed matrices skip the tables and feed the blocks directly."""
+def encode_tokens(model: FusionModel, items: Sequence[TokenInput]) -> Tuple[Tensor, List[int]]:
+    """Token rows of a batch, users stacked in order, and their segment
+    bounds: user i owns rows [bounds[i], bounds[i+1]). Each row is embedding
+    plus positional, through any refinement blocks. PAD rows never enter the
+    computation: ids are cut at true_len first (an all-PAD sequence falls
+    back to the CLS row alone). Precomputed matrices skip the tables and feed
+    the blocks directly; a batch holds one kind of input or the other."""
     cfg = model.config
-    if isinstance(item, TokenSequence):
-        length = item.true_len
-        ids: Sequence[int] = item.ids[:length] if length > 0 else (CLS,)
-        length = max(length, 1)
-        if length > cfg.max_len:
-            raise UsageError(f"sequence length {length} exceeds max_len {cfg.max_len}")
+    is_sequence = [isinstance(item, TokenSequence) for item in items]
+    if all(is_sequence):
+        ids: List[int] = []
+        lengths = []
+        for item in items:
+            length = item.true_len
+            if length > cfg.max_len:
+                raise UsageError(f"sequence length {length} exceeds max_len {cfg.max_len}")
+            ids.extend(item.ids[:length] if length > 0 else (CLS,))
+            lengths.append(max(length, 1))
+        bounds = _bounds(lengths)
+        positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
         emb = T.gather_rows(model.params["embedding"], ids)
-        pos = T.slice_rows(model.params["positional"], 0, length)
-        x = T.add(emb, pos)
+        x = T.add(emb, T.gather_rows(model.params["positional"], positions))
+    elif any(is_sequence):
+        raise UsageError("a batch mixes token sequences and precomputed matrices")
     else:
-        matrix = np.asarray(item, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != cfg.d1:
-            raise DimensionError(
-                f"precomputed matrix must be Lx{cfg.d1}, got {matrix.shape}"
-            )
-        x = Tensor(matrix)
+        matrices = [np.asarray(item, dtype=np.float64) for item in items]
+        for matrix in matrices:
+            if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] != cfg.d1:
+                raise DimensionError(
+                    f"precomputed matrix must be Lx{cfg.d1} with L >= 1, got {matrix.shape}"
+                )
+        bounds = _bounds([len(matrix) for matrix in matrices])
+        x = Tensor(np.vstack(matrices))
     for i in range(cfg.refine_layers):
-        x = _refine_block(model, x, i)
-    return x
+        x = _refine_block(model, x, i, bounds)
+    return x, bounds
 
 
-def encode_stats(model: FusionModel, normalized: np.ndarray) -> Tensor:
-    """6 x d2 statistic matrix: row j is scale_j * value_j + bias_j."""
-    values = np.asarray(normalized, dtype=np.float64).reshape(-1)
-    if values.shape[0] != N_FEATURES:
-        raise DimensionError(f"expected {N_FEATURES} statistics, got {values.shape[0]}")
-    scaled = T.scale_rows(model.params["stat_scale"], values)
-    return T.add(scaled, model.params["stat_bias"])
+def encode_stats(model: FusionModel, stats: Sequence[np.ndarray]) -> Tensor:
+    """Statistic rows of a batch: user i's normalized 6-vector gives rows
+    6i..6i+5, where row 6i+j is scale_j * value_j + bias_j."""
+    values = [np.asarray(s, dtype=np.float64).reshape(-1) for s in stats]
+    for v in values:
+        if v.shape[0] != N_FEATURES:
+            raise DimensionError(f"expected {N_FEATURES} statistics, got {v.shape[0]}")
+    rows = np.tile(np.arange(N_FEATURES), len(values))
+    scale = T.gather_rows(model.params["stat_scale"], rows)
+    scaled = T.scale_rows(scale, np.concatenate(values))
+    return T.add(scaled, T.gather_rows(model.params["stat_bias"], rows))
 
 
 def attention_weights(layer: CrossAttentionLayer, x_query: Tensor, x_kv: Tensor) -> Tensor:
-    """Softmax rows of (Q K^T / sqrt(d_k)): one weight per query/key pair."""
+    """Softmax rows of (Q K^T / sqrt(d_k)): one weight per query/key pair.
+    They are the fusion attention's output when the values are the identity."""
     q = T.matmul(x_query, layer.w_q)
     k = T.matmul(x_kv, layer.w_k)
-    return T.softmax_rows(T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(layer.d_k)))
+    return T.multihead_attention(q, k, Tensor(np.eye(x_kv.shape[0])), 1)
 
 
-def cross_attention(layer: CrossAttentionLayer, x_query: Tensor, x_kv: Tensor) -> Tensor:
-    """Scaled dot-product attention of one sequence over another: the
-    attention weights aggregate the projected values."""
-    return T.matmul(attention_weights(layer, x_query, x_kv), T.matmul(x_kv, layer.w_v))
+def cross_attention(
+    layer: CrossAttentionLayer,
+    x_query: Tensor,
+    x_kv: Tensor,
+    q_bounds: Optional[List[int]] = None,
+    kv_bounds: Optional[List[int]] = None,
+) -> Tensor:
+    """Single-head scaled dot-product attention of one sequence over another:
+    the attention weights aggregate the projected values. With segment
+    bounds, query segment s attends only to key/value segment s."""
+    q = T.matmul(x_query, layer.w_q)
+    k = T.matmul(x_kv, layer.w_k)
+    v = k if layer.w_v is layer.w_k else T.matmul(x_kv, layer.w_v)
+    return T.multihead_attention(q, k, v, 1, q_bounds, kv_bounds)
 
 
 def mlp_forward(head: MlpHead, x: Tensor, outer_relu: bool = False) -> Tensor:
@@ -308,30 +343,33 @@ def mlp_forward(head: MlpHead, x: Tensor, outer_relu: bool = False) -> Tensor:
     return T.relu(out) if outer_relu else out
 
 
-def forward_one(model: FusionModel, item: TokenInput, normalized_stats: np.ndarray) -> Tensor:
-    """1x2 logits for a single user."""
-    cfg = model.config
-    tokens = encode_tokens(model, item)
-    stats = encode_stats(model, normalized_stats)
-    if cfg.fusion == "cross_attention":
-        layer = model.attention_layer()
-        if cfg.fusion_query == "tokens":
-            fused = T.mean_rows(cross_attention(layer, tokens, stats))
-        else:
-            fused = T.flatten_row(cross_attention(layer, stats, tokens))
-    else:
-        fused = T.concat_cols(T.mean_rows(tokens), T.mean_rows(stats))
-    return mlp_forward(model.mlp_head(), fused, cfg.outer_relu)
-
-
 def forward(
     model: FusionModel, batch: Sequence[Tuple[TokenInput, np.ndarray]]
 ) -> Tensor:
-    """B x 2 logits for a batch of (token input, normalized statistics)."""
+    """B x 2 logits for a batch of (token input, normalized statistics).
+
+    The batch is one graph whatever its size: the users' token rows and
+    statistic rows are stacked, each op runs once on the stack, and only
+    attention and pooling look at the segment bounds that keep users apart."""
     if not batch:
         raise UsageError("forward needs a non-empty batch")
-    rows = [forward_one(model, item, stats) for item, stats in batch]
-    return rows[0] if len(rows) == 1 else T.stack_rows(rows)
+    cfg = model.config
+    tokens, token_bounds = encode_tokens(model, [item for item, _ in batch])
+    stats = encode_stats(model, [s for _, s in batch])
+    stat_bounds = _bounds([N_FEATURES] * len(batch))
+    if cfg.fusion == "cross_attention":
+        layer = model.attention_layer()
+        if cfg.fusion_query == "tokens":
+            attended = cross_attention(layer, tokens, stats, token_bounds, stat_bounds)
+            fused = T.mean_rows(attended, token_bounds)
+        else:
+            attended = cross_attention(layer, stats, tokens, stat_bounds, token_bounds)
+            fused = T.fold_rows(attended, N_FEATURES)
+    else:
+        fused = T.concat_cols(
+            T.mean_rows(tokens, token_bounds), T.mean_rows(stats, stat_bounds)
+        )
+    return mlp_forward(model.mlp_head(), fused, cfg.outer_relu)
 
 
 def _vocab_payload(vocab: Optional[Vocab]):

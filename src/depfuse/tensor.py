@@ -1,9 +1,15 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately minimal: every value is a rank-2 matrix, batching
-is expressed by stacking rows, and each forward pass over gradient-tracked
-tensors records a fresh acyclic graph that is consumed by a single
-backward() call; an op whose inputs track no gradient records nothing.
+The engine is deliberately minimal: every value is a rank-2 matrix, and each
+forward pass over gradient-tracked tensors records a fresh acyclic graph
+that is consumed by a single backward() call; an op whose inputs track no
+gradient records nothing. A batch is one graph: its users' rows are stacked
+into one matrix, and a list of segment bounds ``[0, b1, ..., rows]`` says
+which rows belong to which user. Row-wise ops (matmul, add, relu,
+layernorm_rows) run once on the whole stack; the ops that must not mix
+users take the bounds: ``multihead_attention`` attends only within a
+segment, ``mean_rows`` pools each segment to one row, and ``fold_rows``
+folds each run of a fixed number of rows into one row.
 The embedding lookup (gather_rows) is row-sparse in backward: it adds into
 the table's gradient only the rows its ids touched, and the table-sized
 gradient array is allocated once per pass, not once per lookup. Forward
@@ -21,6 +27,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError, UsageError
 
 Shape = Tuple[int, int]
+Bounds = Optional[Sequence[int]]
 
 
 class Tensor:
@@ -103,9 +110,10 @@ def _node(
     if not np.isfinite(data).all():
         raise NumericalError(f"{op} produced a non-finite value")
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
+    parents = tuple(t for t in inputs if t.requires_grad)
+    if parents:
         out.requires_grad = True
-        out._parents = tuple(t for t in inputs if t.requires_grad)
+        out._parents = parents
         out._backward = backward
     return out
 
@@ -126,6 +134,16 @@ def _broadcastable(a: Shape, b: Shape) -> bool:
     rows_ok = a[0] == b[0] or a[0] == 1 or b[0] == 1
     cols_ok = a[1] == b[1] or a[1] == 1 or b[1] == 1
     return rows_ok and cols_ok
+
+
+def _segments(bounds: Bounds, rows: int, what: str) -> List[Tuple[int, int]]:
+    """(start, stop) of each segment; no bounds means one segment of all rows."""
+    if bounds is None:
+        return [(0, rows)]
+    b = list(bounds)
+    if len(b) < 2 or b[0] != 0 or b[-1] != rows or any(lo >= hi for lo, hi in zip(b, b[1:])):
+        raise DimensionError(f"{what}: segment bounds must rise strictly from 0 to {rows}, got {b}")
+    return list(zip(b[:-1], b[1:]))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -213,12 +231,17 @@ def scale_rows(a: Tensor, factors: np.ndarray) -> Tensor:
     return _node("scale_rows", a.data * col, (a,), backward)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    r = a.shape[0]
-    data = a.data.mean(axis=0, keepdims=True)
+def mean_rows(a: Tensor, bounds: Bounds = None) -> Tensor:
+    """Column means of each row segment, one output row per segment (one
+    segment of all rows without bounds)."""
+    segs = _segments(bounds, a.shape[0], "mean_rows")
+    data = np.empty((len(segs), a.shape[1]))
+    for i, (start, stop) in enumerate(segs):
+        data[i] = a.data[start:stop].mean(axis=0)
+    counts = np.array([stop - start for start, stop in segs])
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.broadcast_to(g / r, a.shape).copy())
+        a._accumulate(np.repeat(g / counts[:, None], counts, axis=0))
 
     return _node("mean_rows", data, (a,), backward)
 
@@ -327,56 +350,86 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         else:
             table.grad[rows] += sums
 
-    return _node("gather_rows", table.data[idx].copy(), (table,), backward)
+    return _node("gather_rows", table.data[idx], (table,), backward)
 
 
-def flatten_row(a: Tensor) -> Tensor:
-    """Reshape RxC to 1x(R*C), row-major."""
+def fold_rows(a: Tensor, rows: int) -> Tensor:
+    """Fold each run of ``rows`` consecutive rows into one row, row-major:
+    R x C becomes (R / rows) x (rows * C)."""
     r, c = a.shape
+    if rows < 1 or r % rows != 0:
+        raise DimensionError(f"fold_rows: runs of {rows} rows do not tile shape {a.shape}")
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g.reshape(r, c))
 
-    return _node("flatten_row", a.data.reshape(1, r * c).copy(), (a,), backward)
+    return _node("fold_rows", a.data.reshape(r // rows, rows * c).copy(), (a,), backward)
 
 
-def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Scaled dot-product self-attention over column blocks: head h attends
-    with columns [h*dh, (h+1)*dh) of q, k and v, dh = width / heads, and the
-    head outputs are laid side by side. One node with an analytic backward.
+def multihead_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    heads: int,
+    q_bounds: Bounds = None,
+    kv_bounds: Bounds = None,
+) -> Tensor:
+    """Scaled dot-product attention over column blocks and row segments.
 
-    Each head works on fresh contiguous copies of its columns, in the same
-    op order as the slice/transpose/matmul/softmax composition, so values
-    and gradients match that composition bit for bit."""
+    Head h attends with columns [h*dq, (h+1)*dq) of q and k, dq = q width /
+    heads, and aggregates the matching block of v's columns; the head outputs
+    are laid side by side. With segment bounds, query segment s attends only
+    to key/value segment s, so users stacked in one batch never see each
+    other's rows: the masking of Vaswani et al. 2017 (arXiv 1706.03762), done
+    with bounds instead of padding. One node with an analytic backward.
+
+    Each segment and head works on fresh contiguous copies of its rows and
+    columns, in the same op order as the slice/transpose/matmul/softmax
+    composition, so values and gradients match that composition, run on the
+    segment alone, bit for bit."""
     width = q.shape[1]
-    if k.shape[1] != width or v.shape[1] != width or k.shape[0] != v.shape[0]:
+    if k.shape[1] != width or k.shape[0] != v.shape[0]:
         raise DimensionError(
             f"multihead_attention: q {q.shape}, k {k.shape}, v {v.shape} do not line up"
         )
-    if heads < 1 or width % heads != 0:
-        raise DimensionError(f"multihead_attention: {heads} heads do not divide width {width}")
-    dh = width // heads
-    factor = 1.0 / np.sqrt(dh)
-    cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    if heads < 1 or width % heads != 0 or v.shape[1] % heads != 0:
+        raise DimensionError(
+            f"multihead_attention: {heads} heads do not divide widths {width} and {v.shape[1]}"
+        )
+    q_segs = _segments(q_bounds, q.shape[0], "multihead_attention queries")
+    kv_segs = _segments(kv_bounds, k.shape[0], "multihead_attention keys")
+    if len(q_segs) != len(kv_segs):
+        raise DimensionError(
+            f"multihead_attention: {len(q_segs)} query segments, {len(kv_segs)} key segments"
+        )
+    dq, dv = width // heads, v.shape[1] // heads
+    factor = 1.0 / np.sqrt(dq)
+    cols = [(slice(h * dq, (h + 1) * dq), slice(h * dv, (h + 1) * dv)) for h in range(heads)]
+    # Scoring records no graph, so it keeps no per-segment intermediates.
+    track = q.requires_grad or k.requires_grad or v.requires_grad
     saved = []
-    data = np.empty((q.shape[0], width))
-    for c in cols:
-        qh, kt, vh = q.data[:, c].copy(), k.data[:, c].T.copy(), v.data[:, c].copy()
-        scores = (qh @ kt) * factor
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        w = e / e.sum(axis=1, keepdims=True)
-        data[:, c] = w @ vh
-        saved.append((qh, kt, vh, w))
+    data = np.empty((q.shape[0], v.shape[1]))
+    for (q0, q1), (k0, k1) in zip(q_segs, kv_segs):
+        for c, cv in cols:
+            qh = q.data[q0:q1, c].copy()
+            kt = k.data[k0:k1, c].T.copy()
+            vh = v.data[k0:k1, cv].copy()
+            scores = (qh @ kt) * factor
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            w = e / e.sum(axis=1, keepdims=True)
+            data[q0:q1, cv] = w @ vh
+            if track:
+                saved.append((q0, q1, k0, k1, c, cv, qh, kt, vh, w))
 
     def backward(g: np.ndarray) -> None:
         gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        for c, (qh, kt, vh, w) in zip(cols, saved):
-            gh = g[:, c].copy()
+        for q0, q1, k0, k1, c, cv, qh, kt, vh, w in saved:
+            gh = g[q0:q1, cv].copy()
             gw = gh @ vh.T
-            gv[:, c] = w.T @ gh
+            gv[k0:k1, cv] = w.T @ gh
             gsc = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * factor
-            gq[:, c] = gsc @ kt.T
-            gk[:, c] = (qh.T @ gsc).T
+            gq[q0:q1, c] = gsc @ kt.T
+            gk[k0:k1, c] = (qh.T @ gsc).T
         for t, gt in ((q, gq), (k, gk), (v, gv)):
             if t.requires_grad:
                 t._accumulate(gt)

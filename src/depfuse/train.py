@@ -203,13 +203,15 @@ def predict_logits(model: FusionModel, examples: Sequence[PreparedExample]) -> n
 
     Scoring runs on untracked views of the live parameters, so no autograd
     graph is recorded and each chunk's intermediates are freed as soon as
-    its logits are taken. The forward math is the same as in training."""
+    its logits are taken. The forward math is the same as in training. A
+    chunk is one stacked forward, so its size bounds the memory it holds:
+    eight users keep that to a few MiB at max_len 256."""
     if not examples:
         raise UsageError("cannot run the model on an empty dataset")
     params = {name: Tensor(p.data) for name, p in model.params.items()}
     model = FusionModel(model.config, params, model.vocab, model.normalizer)
     rows: List[np.ndarray] = []
-    chunk = 64
+    chunk = 8
     for start in range(0, len(examples), chunk):
         batch = examples[start : start + chunk]
         logits = forward(model, [(e.tokens, e.stats) for e in batch])

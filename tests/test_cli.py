@@ -232,6 +232,26 @@ class TestCsvQuoting:
             assert path.read_text(encoding="utf-8").endswith("\n" + last_line + "\n")
 
 
+class TestLoneSurrogate:
+    def test_line_reported_and_skipped(self, corpus, trained, tmp_path, capsys):
+        lines = corpus.read_text(encoding="utf-8").strip().split("\n")[:2]
+        bad = dict(json.loads(lines[1]), user_id="u\ud800x")
+        odd = tmp_path / "sur.jsonl"
+        # json.dumps escapes the surrogate as ASCII, so the file is valid UTF-8.
+        odd.write_text(lines[0] + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        good_id = json.loads(lines[0])["user_id"]
+        feats, preds = tmp_path / "f.csv", tmp_path / "p.csv"
+        capsys.readouterr()
+        assert main(["featurize", "--corpus", str(odd), "--out", str(feats)]) == 0
+        assert main(["predict", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--corpus", str(odd), "--out", str(preds)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("parse issue: line 2: field user_id holds a lone surrogate") == 2
+        for path in (feats, preds):
+            rows = path.read_text(encoding="utf-8").strip().split("\n")[1:]
+            assert [row.split(",")[0] for row in rows] == [good_id]
+
+
 class TestPredict:
     def test_prediction_csv(self, corpus, trained, tmp_path):
         out = tmp_path / "preds.csv"

@@ -98,6 +98,17 @@ class TestParse:
         assert [r.user_id for r in records] == ["a", "b"]
         assert len(issues) == 1 and issues[0].line == 2
 
+    @pytest.mark.parametrize("field", ["user_id", "nickname", "profile", "birthday", "text"])
+    def test_lone_surrogate_reported_where_it_enters(self, field):
+        bad = valid_line("bad", birthday="1990")
+        holder = bad["tweets"][1] if field == "text" else bad
+        holder[field] += "\ud800"
+        payload = (json.dumps(valid_line("a")) + "\n" + json.dumps(bad) + "\n").encode()
+        records, issues = parse_corpus(payload)
+        assert [r.user_id for r in records] == ["a"]
+        assert len(issues) == 1 and issues[0].line == 2
+        assert f"field {field} holds a lone surrogate" in issues[0].reason
+
     def test_duplicate_user_id_skips_later_line(self):
         records, issues = parse_corpus(as_bytes(valid_line("same"), valid_line("same")))
         assert len(records) == 1
@@ -302,7 +313,7 @@ class TestPostingTime:
 def corpus_lines(draw):
     """One corpus line: arbitrary bytes, or a valid line with one key dropped,
     one value of the wrong type, a bad timestamp or invalid UTF-8."""
-    kind = draw(st.sampled_from(["bytes", "valid", "drop", "type", "time", "utf8"]))
+    kind = draw(st.sampled_from(["bytes", "valid", "drop", "type", "time", "utf8", "surrogate"]))
     if kind == "bytes":
         return draw(st.binary(max_size=40) | st.sampled_from([b"[" * 100_000, b"1" * 5000]))
     obj = draw(record_objs)
@@ -317,6 +328,11 @@ def corpus_lines(draw):
         )
     elif kind == "time" and holder is not obj:
         holder["posting_time"] = draw(shaped_times() | st.text(max_size=20))
+    elif kind == "surrogate":
+        key = draw(st.sampled_from(sorted(k for k, v in holder.items() if isinstance(v, str))))
+        holder[key] += draw(st.sampled_from(["\ud800", "\udfff", "\udc80x"]))
+        # ASCII escapes: a lone surrogate has no UTF-8 encoding to write raw.
+        return json.dumps(obj).encode()
     line = json.dumps(obj, ensure_ascii=False).encode()
     if kind == "utf8":
         cut = draw(st.integers(0, len(line)))
@@ -336,6 +352,8 @@ class TestParseFuzz:
         assert len(set(issue_lines)) == len(issue_lines)
         assert set(issue_lines) <= nonblank
         assert len(records) + len(issues) == len(nonblank)
+        # Whatever is accepted can be written back out as UTF-8.
+        parse_corpus(serialize_records(records))
 
 
 def stub_records(labels):

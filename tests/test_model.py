@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from depfuse.errors import ConfigError, DataFormatError, DimensionError
+from depfuse.errors import ConfigError, DataFormatError, DimensionError, UsageError
 from depfuse.features import FeatureNormalizer
 from depfuse.model import (
     CrossAttentionLayer,
@@ -15,7 +15,6 @@ from depfuse.model import (
     encode_stats,
     encode_tokens,
     forward,
-    forward_one,
     init_params,
     load_checkpoint,
     mlp_forward,
@@ -101,13 +100,14 @@ class TestInit:
 class TestEncodeTokens:
     def test_mask_drops_pad_rows(self):
         model = init_params(small_config(), seed=3)
-        out = encode_tokens(model, sequence([CLS, 4, 5, 6]))
+        out, bounds = encode_tokens(model, [sequence([CLS, 4, 5, 6])])
         assert out.shape == (4, 4)
+        assert bounds == [0, 4]
 
     def test_refine_zero_is_embedding_plus_positional(self):
         model = init_params(small_config(), seed=3)
         ids = [CLS, 5, 7]
-        out = encode_tokens(model, sequence(ids))
+        out, _ = encode_tokens(model, [sequence(ids)])
         expected = model.params["embedding"].data[ids] + model.params["positional"].data[:3]
         np.testing.assert_array_equal(out.data, expected)
 
@@ -115,7 +115,7 @@ class TestEncodeTokens:
         model = init_params(small_config(vocab_size=4, d1=4), seed=0)
         model.params["embedding"].data = np.eye(4)
         ids = [2, 0, 3]
-        out = encode_tokens(model, sequence(ids))
+        out, _ = encode_tokens(model, [sequence(ids)])
         for row, i in enumerate(ids):
             np.testing.assert_array_equal(
                 out.data[row], np.eye(4)[i] + model.params["positional"].data[row]
@@ -123,34 +123,51 @@ class TestEncodeTokens:
 
     def test_all_pad_uses_cls_row(self):
         model = init_params(small_config(), seed=3)
-        out = encode_tokens(model, TokenSequence(ids=(0,) * 8, true_len=0))
+        out, _ = encode_tokens(model, [TokenSequence(ids=(0,) * 8, true_len=0)])
         expected = model.params["embedding"].data[CLS] + model.params["positional"].data[0]
         np.testing.assert_array_equal(out.data, expected.reshape(1, -1))
 
     def test_id_out_of_range(self):
         model = init_params(small_config(vocab_size=6), seed=3)
         with pytest.raises(Exception, match="out of range"):
-            encode_tokens(model, sequence([CLS, 6]))
+            encode_tokens(model, [sequence([CLS, 6])])
 
     def test_precomputed_matrix_path(self):
         model = init_params(small_config(), seed=3)
         matrix = np.arange(12, dtype=np.float64).reshape(3, 4)
-        out = encode_tokens(model, matrix)
-        np.testing.assert_array_equal(out.data, matrix)
-        with pytest.raises(DimensionError):
-            encode_tokens(model, np.zeros((3, 5)))
+        out, bounds = encode_tokens(model, [matrix, matrix[:1]])
+        np.testing.assert_array_equal(out.data, np.vstack([matrix, matrix[:1]]))
+        assert bounds == [0, 3, 4]
+        for bad in (np.zeros((3, 5)), np.zeros((0, 4)), np.zeros(4)):
+            with pytest.raises(DimensionError):
+                encode_tokens(model, [matrix, bad])
+
+    def test_batch_stacks_users_with_their_own_positions(self):
+        model = init_params(small_config(), seed=3)
+        users = [[CLS, 5, 7], [], [CLS, 4, 5, 6, 7, 4, 5, 6]]
+        out, bounds = encode_tokens(model, [sequence(ids) for ids in users])
+        assert bounds == [0, 3, 4, 12]
+        emb, pos = model.params["embedding"].data, model.params["positional"].data
+        for ids, start, stop in zip(users, bounds, bounds[1:]):
+            rows = ids or [CLS]
+            np.testing.assert_array_equal(out.data[start:stop], emb[rows] + pos[: len(rows)])
+
+    def test_mixed_input_kinds_rejected(self):
+        model = init_params(small_config(), seed=3)
+        with pytest.raises(UsageError, match="mixes"):
+            encode_tokens(model, [sequence([CLS, 4]), np.zeros((2, 4))])
 
 
 class TestEncodeStats:
     def test_zero_vector_gives_bias_rows(self):
         model = init_params(small_config(), seed=1)
-        out = encode_stats(model, np.zeros(6))
+        out = encode_stats(model, [np.zeros(6)])
         np.testing.assert_array_equal(out.data, model.params["stat_bias"].data)
 
     def test_feature_independence(self):
         model = init_params(small_config(), seed=1)
-        base = encode_stats(model, np.zeros(6)).data
-        bumped = encode_stats(model, np.eye(6)[2] * 3.0).data
+        base = encode_stats(model, [np.zeros(6)]).data
+        bumped = encode_stats(model, [np.eye(6)[2] * 3.0]).data
         diff_rows = np.nonzero(np.abs(bumped - base).sum(axis=1))[0]
         assert diff_rows.tolist() == [2]
 
@@ -159,8 +176,10 @@ class TestEncodeStats:
         model.params["stat_scale"].data = np.ones((6, 1))
         model.params["stat_bias"].data = np.zeros((6, 1))
         values = np.array([0.5, -1.0, 2.0, 0.0, 3.25, -0.125])
-        out = encode_stats(model, values)
-        np.testing.assert_array_equal(out.data[:, 0], values)
+        out = encode_stats(model, [values, values[::-1]])
+        np.testing.assert_array_equal(out.data[:, 0], np.concatenate([values, values[::-1]]))
+        with pytest.raises(DimensionError, match="expected 6"):
+            encode_stats(model, [values, values[:5]])
 
 
 def identity_layer(d):
@@ -242,8 +261,8 @@ class TestForward:
         model.params["stat_scale"].data = np.zeros((6, 4))
         model.params["stat_bias"].data = np.zeros((6, 4))
         seq = sequence([CLS, 4, 5])
-        a = forward_one(model, seq, np.zeros(6))
-        b = forward_one(model, seq, np.array([3.0, -2.0, 1.0, 0.5, -4.0, 2.0]))
+        a = forward(model, [(seq, np.zeros(6))])
+        b = forward(model, [(seq, np.array([3.0, -2.0, 1.0, 0.5, -4.0, 2.0]))])
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_identical_users_identical_rows(self):
@@ -259,14 +278,14 @@ class TestForward:
         model = init_params(small_config(), seed=9)
         ids = [CLS, 4, 6, 7]
         stats = np.array([0.3, -1.2, 0.8, 0.0, 2.0, -0.5])
-        got = forward_one(model, sequence(ids), stats).data
+        got = forward(model, [(sequence(ids), stats)]).data
         arrays = {name: p.data.tolist() for name, p in model.params.items()}
         want = oracles.fusion_forward(arrays, ids, stats.tolist())
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_stats_query_fused_width(self):
         model = init_params(small_config(fusion_query="stats"), seed=5)
-        logits = forward_one(model, sequence([CLS, 4]), np.zeros(6))
+        logits = forward(model, [(sequence([CLS, 4]), np.zeros(6))])
         assert logits.shape == (1, 2)
         assert model.params["mlp_w1"].shape == (6 * 4, 4)
 
@@ -275,11 +294,82 @@ class TestForward:
         perm = [3, 0, 5, 1, 4, 2]
         stats = np.array([0.5, -1.0, 2.0, 0.25, -0.75, 1.5])
         seq = sequence([CLS, 4, 5])
-        base = forward_one(model, seq, stats).data
+        base = forward(model, [(seq, stats)]).data
         model.params["stat_scale"].data = model.params["stat_scale"].data[perm]
         model.params["stat_bias"].data = model.params["stat_bias"].data[perm]
-        permuted = forward_one(model, seq, stats[perm]).data
+        permuted = forward(model, [(seq, stats[perm])]).data
         np.testing.assert_allclose(base, permuted, atol=1e-12)
+
+
+def graph_size(loss):
+    """Tensors reachable from the loss through recorded parents."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+# One of each model variant the stacked forward must keep users apart in.
+BATCH_VARIANTS = [
+    dict(),
+    dict(fusion="concat"),
+    dict(value_projection="separate"),
+    dict(refine_layers=2),
+    dict(refine_layers=2, fusion="concat", value_projection="separate"),
+    dict(fusion_query="stats"),
+    dict(fusion_query="stats", value_projection="separate", refine_layers=2),
+]
+
+
+class TestOneGraphPerBatch:
+    @pytest.mark.parametrize("inputs", ["tokens", "precomputed"])
+    @pytest.mark.parametrize("overrides", BATCH_VARIANTS)
+    def test_user_in_batch_matches_user_alone(self, overrides, inputs):
+        model = init_params(small_config(**overrides), seed=17)
+        rng = np.random.default_rng(17)
+        # true_len 0 falls back to the CLS row alone; 8 is max_len.
+        lengths = [0, 8, 3, 1, 5]
+        if inputs == "tokens":
+            items = [sequence([CLS] + rng.integers(4, 8, size=n - 1).tolist() if n else [])
+                     for n in lengths]
+        else:
+            items = [rng.normal(size=(max(n, 1), 4)) for n in lengths]
+        batch = [(item, rng.normal(size=6)) for item in items]
+        labels = [0, 1, 1, 0, 1]
+
+        def logits_and_grads(examples, targets):
+            model.zero_grad()
+            logits = forward(model, examples)
+            cross_entropy_loss(logits, targets).backward()
+            return logits.data, {n: p.grad for n, p in model.params.items()}
+
+        logits, grads = logits_and_grads(batch, labels)
+        alone = [logits_and_grads([example], [label]) for example, label in zip(batch, labels)]
+        np.testing.assert_allclose(logits, np.vstack([a[0] for a in alone]), rtol=0, atol=1e-12)
+        for name, grad in grads.items():
+            solo = [a[1][name] for a in alone]
+            if grad is None:  # the tables, when the batch is precomputed
+                assert inputs == "precomputed" and all(g is None for g in solo)
+                continue
+            # The batch loss is the mean of the users' losses.
+            np.testing.assert_allclose(grad, sum(solo) / len(solo), rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("overrides", [BATCH_VARIANTS[0], BATCH_VARIANTS[-1]])
+    def test_graph_size_does_not_grow_with_the_batch(self, overrides):
+        model = init_params(small_config(**overrides), seed=4)
+        rng = np.random.default_rng(4)
+
+        def size(users):
+            batch = [(sequence([CLS, 4, 5, 6][: 1 + i % 4]), rng.normal(size=6))
+                     for i in range(users)]
+            loss = cross_entropy_loss(forward(model, batch), [i % 2 for i in range(users)])
+            return graph_size(loss)
+
+        assert size(8) == size(1)
 
 
 class TestFullModelGradients:
@@ -342,7 +432,7 @@ class TestCheckpoint:
         seq = sequence([CLS, 4, 5])
         stats = np.linspace(-1, 1, 6)
         np.testing.assert_array_equal(
-            forward_one(model, seq, stats).data, forward_one(loaded, seq, stats).data
+            forward(model, [(seq, stats)]).data, forward(loaded, [(seq, stats)]).data
         )
 
     def test_save_is_deterministic(self, tmp_path):

@@ -191,6 +191,9 @@ def op_cases(rng):
     mr = leaf(rng, 5, 4)
     case("mean_rows", [mr], (1, 4), lambda: T.mean_rows(mr))
 
+    ms = leaf(rng, 6, 3)
+    case("mean_rows_segments", [ms], (3, 3), lambda: T.mean_rows(ms, [0, 1, 4, 6]))
+
     sa = leaf(rng, 3, 4)
     cases.append(("sum_all", [sa], lambda: T.sum_all(sa)))
 
@@ -215,8 +218,8 @@ def op_cases(rng):
     ids = [0, 3, 3, 5]
     case("gather_rows", [gt], (4, 4), lambda: T.gather_rows(gt, ids))
 
-    fl = leaf(rng, 3, 4)
-    case("flatten_row", [fl], (1, 12), lambda: T.flatten_row(fl))
+    fo = leaf(rng, 6, 2)
+    case("fold_rows", [fo], (2, 6), lambda: T.fold_rows(fo, 3))
 
     ln = leaf(rng, 4, 6)
     gain = leaf(rng, 1, 6, avoid_zero=True)
@@ -231,6 +234,18 @@ def op_cases(rng):
         [mq, mk, mv],
         (4, 6),
         lambda: T.multihead_attention(mq, mk, mv, heads=2),
+    )
+
+    # Three segments on each side, one of a single row, and values whose
+    # per-head width (3) differs from the query/key one (2).
+    sq = leaf(rng, 6, 4)
+    sk = leaf(rng, 7, 4)
+    sv = leaf(rng, 7, 6)
+    case(
+        "multihead_attention_segments",
+        [sq, sk, sv],
+        (6, 6),
+        lambda: T.multihead_attention(sq, sk, sv, 2, [0, 2, 3, 6], [0, 3, 4, 7]),
     )
 
     return cases
@@ -297,6 +312,55 @@ def test_multihead_attention_shape_errors():
         T.multihead_attention(a, a, a, 3)
     with pytest.raises(DimensionError, match="line up"):
         T.multihead_attention(a, tensor(np.zeros((3, 2))), a, 2)
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+def test_segmented_ops_match_each_segment_alone_bitwise(heads):
+    # Segment lengths 1, 255 and 37 after a 256 at an unaligned offset: each
+    # segment must see only its own rows and round as it would alone.
+    rng = np.random.default_rng(heads)
+    q_lens, kv_lens = [1, 255, 37, 256], [6, 255, 1, 256]
+    q_bounds, kv_bounds = ([0, *np.cumsum(n).tolist()] for n in (q_lens, kv_lens))
+    arrays = [rng.normal(size=(n, 32)) for n in (q_bounds[-1], kv_bounds[-1], kv_bounds[-1])]
+    upstream = rng.normal(size=(q_bounds[-1], 32))
+    pooled_upstream = rng.normal(size=(len(q_lens), 32))
+
+    q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+    out = T.multihead_attention(q, k, v, heads, q_bounds, kv_bounds)
+    pooled = T.mean_rows(out, q_bounds)
+    T.sum_all(T.add(T.sum_all(T.mul(out, Tensor(upstream))),
+                    T.sum_all(T.mul(pooled, Tensor(pooled_upstream))))).backward()
+
+    segs = zip(q_bounds, q_bounds[1:], kv_bounds, kv_bounds[1:])
+    for s, (q0, q1, k0, k1) in enumerate(segs):
+        qs, ks, vs = (Tensor(a[lo:hi].copy(), requires_grad=True)
+                      for a, (lo, hi) in zip(arrays, [(q0, q1), (k0, k1), (k0, k1)]))
+        alone = T.multihead_attention(qs, ks, vs, heads)
+        alone_pooled = T.mean_rows(alone)
+        T.sum_all(T.add(T.sum_all(T.mul(alone, Tensor(upstream[q0:q1]))),
+                        T.sum_all(T.mul(alone_pooled, Tensor(pooled_upstream[s : s + 1]))))).backward()
+        assert out.data[q0:q1].tobytes() == alone.data.tobytes()
+        assert pooled.data[s].tobytes() == alone_pooled.data[0].tobytes()
+        assert k.grad[k0:k1].tobytes() == ks.grad.tobytes()
+        assert v.grad[k0:k1].tobytes() == vs.grad.tobytes()
+        assert q.grad[q0:q1].tobytes() == qs.grad.tobytes()
+
+
+def test_fold_rows_is_row_major():
+    # A stats-query model's fused row is its six attended rows end to end.
+    out = T.fold_rows(tensor(np.arange(12.0).reshape(6, 2)), 3)
+    np.testing.assert_array_equal(out.data, np.arange(12.0).reshape(2, 6))
+
+
+def test_segment_bounds_errors():
+    a = tensor(np.zeros((4, 2)))
+    for bounds in ([0, 4, 4], [1, 4], [0, 3], [0, 3, 2, 4], [4]):
+        with pytest.raises(DimensionError, match="bounds"):
+            T.mean_rows(a, bounds)
+    with pytest.raises(DimensionError, match="segments"):
+        T.multihead_attention(a, a, a, 1, [0, 2, 4], [0, 4])
+    with pytest.raises(DimensionError, match="tile"):
+        T.fold_rows(a, 3)
 
 
 def test_gather_rows_backward_equals_dense_add_at_bitwise():
