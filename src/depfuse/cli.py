@@ -13,9 +13,10 @@ is flat ``key = value`` text ('#' starts a comment). Its keys are the
 Each setting's flag is its field name with dashes (``--max-len``) unless its
 field metadata spells it otherwise (``--lr``).
 
-Exit codes: 0 success, 2 usage/configuration, 3 data/format, 4 numerical
-failure. All randomness is driven by --seed; outputs are byte-identical
-across reruns with identical inputs and flags.
+Exit codes: 0 success, 2 usage/configuration (an unwritable output path
+included), 3 data/format, 4 numerical failure. All randomness is driven by
+--seed; outputs are byte-identical across reruns with identical inputs and
+flags.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus import ParseIssue, SplitSpec, UserRecord, serialize_records, split_dataset
 from .errors import ConfigError, DataFormatError, NumericalError, UsageError, input_errors
-from .features import extract_features
+from .features import FEATURE_NAMES, extract_features
 from .metrics import report_to_json
 from .model import load_checkpoint, vocab_fingerprint
 from .pipeline import (
@@ -86,7 +87,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def parse_config_file(path: Path) -> Dict[str, object]:
@@ -169,8 +170,7 @@ def cmd_gen_synth(config: RunConfig, opts: VerbOptions) -> int:
     spec = SynthDatasetSpec(n_per_class=opts.n, seed=config.seed)
     records = generate_dataset(spec)
     out_path = Path(opts.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(serialize_records(records))
     Path(str(out_path) + ".spec.json").write_text(spec_to_json(spec), encoding="utf-8")
     per_class = {0: 0, 1: 0}
@@ -186,14 +186,11 @@ def cmd_gen_synth(config: RunConfig, opts: VerbOptions) -> int:
 def cmd_featurize(config: RunConfig, opts: VerbOptions) -> int:
     records = _load_records(config.corpus)
     scorer = make_scorer(config)
-    lines = ["user_id,label,p_original,p_late_night,posts_per_week,posting_time_sd,p_negative,image_freq"]
+    lines = [",".join(("user_id", "label", *FEATURE_NAMES))]
     for record in records:
         v = extract_features(record, scorer, config.threshold)
-        lines.append(
-            f"{_csv_field(record.user_id)},{record.label},{v.p_original:.6f},"
-            f"{v.p_late_night:.6f},{v.posts_per_week:.6f},{v.posting_time_sd:.6f},"
-            f"{v.p_negative:.6f},{v.image_freq:.6f}"
-        )
+        values = (f"{getattr(v, name):.6f}" for name in FEATURE_NAMES)
+        lines.append(",".join((_csv_field(record.user_id), str(record.label), *values)))
     _write_text(opts.out, "\n".join(lines) + "\n")
     return 0
 
@@ -214,15 +211,6 @@ def cmd_train(config: RunConfig, opts: VerbOptions) -> int:
     )
     print(f"artifacts in {out_dir}: checkpoint.json history.csv metrics.json")
     return 0
-
-
-def _select_slice(
-    records: List[UserRecord], split: str, ratio: float, seed: int
-) -> List[UserRecord]:
-    if split == "all":
-        return records
-    train_records, val_records = split_dataset(records, SplitSpec(ratio=ratio, seed=seed))
-    return train_records if split == "train" else val_records
 
 
 def _load_model_for(opts: VerbOptions):
@@ -251,21 +239,24 @@ def cmd_eval(config: RunConfig, opts: VerbOptions) -> int:
         raise ConfigError(f"--split must be {'|'.join(SPLITS)}, got {opts.split!r}")
     model = _load_model_for(opts)
     records = _load_records(config.corpus)
-    subset = _select_slice(records, opts.split, config.ratio, config.seed)
-    if opts.split != "all" and model.vocab is not None:
+    if opts.split != "all":
+        train_records, val_records = split_dataset(
+            records, SplitSpec(ratio=config.ratio, seed=config.seed)
+        )
         # Reproduction mode claims this is the training corpus; verify that
         # the vocabulary rebuilt from its training slice matches the
         # checkpoint before trusting the slice assignment.
-        train_records, _ = split_dataset(records, SplitSpec(config.ratio, config.seed))
-        rebuilt = build_vocab(train_records, min_freq=model.vocab.min_freq)
-        if vocab_fingerprint(rebuilt) != vocab_fingerprint(model.vocab):
-            raise ConfigError(
-                "checkpoint/corpus mismatch (vocab hash): this corpus+seed+ratio does"
-                " not reproduce the checkpoint's training slice"
-            )
-    if not subset:
+        if model.vocab is not None:
+            rebuilt = build_vocab(train_records, min_freq=model.vocab.min_freq)
+            if vocab_fingerprint(rebuilt) != vocab_fingerprint(model.vocab):
+                raise ConfigError(
+                    "checkpoint/corpus mismatch (vocab hash): this corpus+seed+ratio does"
+                    " not reproduce the checkpoint's training slice"
+                )
+        records = train_records if opts.split == "train" else val_records
+    if not records:
         raise ConfigError("selected slice is empty")
-    examples = _prepare_for_model(model, subset, config)
+    examples = _prepare_for_model(model, records, config)
     report = evaluate(model, examples)
     _write_text(opts.out, report_to_json(report) + "\n")
     return 0
@@ -344,10 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(*settings(args))
-    except (ConfigError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataFormatError as exc:

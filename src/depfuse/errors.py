@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all depfuse modules.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataFormatError -> 3,
-NumericalError -> 4. Everything else is a programming error and escapes.
+The CLI maps these onto exit codes: ConfigError and an OSError (an output
+path that cannot be written) -> 2, DataFormatError -> 3, NumericalError -> 4.
+Everything else is a programming error and escapes.
 """
 
 from contextlib import contextmanager
@@ -12,8 +13,9 @@ class DepfuseError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(DepfuseError):
-    """Invalid or contradictory configuration (bad ratio, bad model dims, ...)."""
+class ConfigError(DepfuseError, ValueError):
+    """Invalid or contradictory configuration (bad ratio, bad model dims, ...).
+    A bad argument value, so it is also a ValueError."""
 
 
 class DataFormatError(DepfuseError):

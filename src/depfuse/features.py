@@ -1,13 +1,7 @@
 """The six per-user behavioral statistics and their normalization.
 
-Fixed feature order (the component order of StatFeatureVector):
-
-    1. p_original       fraction of original (non-retweet) posts
-    2. p_late_night     fraction of posts in the [00:00, 06:00) window
-    3. posts_per_week   posting frequency, posts / week
-    4. posting_time_sd  population SD of time-of-day, in minutes
-    5. p_negative       fraction of posts a sentiment scorer flags negative
-    6. image_freq       fraction of posts carrying images
+The fields of StatFeatureVector fix the feature order: FEATURE_NAMES, the
+model's statistic rows and the featurize CSV columns all follow it.
 
 A user with an empty timeline maps to the all-zero vector: no posts, no
 behavioral signal (this deliberately bypasses the one-day observation floor
@@ -17,7 +11,7 @@ of posts_per_week).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Iterable, Protocol, Sequence, Set
 
@@ -26,17 +20,6 @@ import numpy as np
 from .corpus import Tweet, UserRecord
 from .errors import ConfigError, FeatureError
 from .text import tokenize
-
-FEATURE_NAMES = (
-    "p_original",
-    "p_late_night",
-    "posts_per_week",
-    "posting_time_sd",
-    "p_negative",
-    "image_freq",
-)
-
-N_FEATURES = len(FEATURE_NAMES)
 
 LATE_NIGHT_END_SECONDS = 6 * 3600  # window is [00:00:00, 06:00:00)
 
@@ -47,31 +30,24 @@ STD_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class StatFeatureVector:
-    p_original: float
-    p_late_night: float
-    posts_per_week: float
-    posting_time_sd: float
-    p_negative: float
-    image_freq: float
+    p_original: float  # fraction of original (non-retweet) posts
+    p_late_night: float  # fraction of posts in the [00:00, 06:00) window
+    posts_per_week: float  # posting frequency, posts / week
+    posting_time_sd: float  # population SD of time-of-day, in minutes
+    p_negative: float  # fraction of posts a sentiment scorer flags negative
+    image_freq: float  # fraction of posts carrying images
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.p_original,
-                self.p_late_night,
-                self.posts_per_week,
-                self.posting_time_sd,
-                self.p_negative,
-                self.image_freq,
-            ],
-            dtype=np.float64,
-        )
+        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(StatFeatureVector))
+
+N_FEATURES = len(FEATURE_NAMES)
 
 
 class SentimentScorer(Protocol):
     """Deterministic, total map from any unicode string to negativity in [0, 1]."""
-
-    name: str
 
     def score(self, text: str) -> float: ...
 
@@ -83,14 +59,13 @@ class LexiconScorer:
     so a multi-character CJK entry matches its per-codepoint tokens.
     """
 
-    def __init__(self, lexicon: Iterable[str], name: str = "lexicon"):
+    def __init__(self, lexicon: Iterable[str]):
         terms: Set[str] = set()
         for term in lexicon:
             terms.update(tokenize(term))
         if not terms:
             raise ConfigError("lexicon is empty after tokenization")
         self.tokens = frozenset(terms)
-        self.name = name
 
     def score(self, text: str) -> float:
         return lexicon_score(text, self.tokens)
@@ -121,7 +96,7 @@ def default_lexicon() -> Set[str]:
 
 
 def default_scorer() -> LexiconScorer:
-    return LexiconScorer(default_lexicon(), name="default-lexicon")
+    return LexiconScorer(default_lexicon())
 
 
 def proportion_original(tweets: Sequence[Tweet]) -> float:
@@ -239,6 +214,3 @@ def fit_normalizer(train_vectors: Sequence[StatFeatureVector]) -> FeatureNormali
 def apply_normalizer(vector: StatFeatureVector, norm: FeatureNormalizer) -> np.ndarray:
     return (vector.as_array() - norm.mean) / norm.std
 
-
-def invert_normalizer(normalized: np.ndarray, norm: FeatureNormalizer) -> np.ndarray:
-    return normalized * norm.std + norm.mean

@@ -8,7 +8,6 @@ precision+recall = 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,16 +88,4 @@ def report_to_json(report: MetricsReport) -> str:
         f'"f1":{report.f1:.6f},'
         f'"confusion":{{"tp":{cm.tp},"tn":{cm.tn},"fp":{cm.fp},"fn":{cm.fn}}}'
         "}"
-    )
-
-
-def report_from_json(text: str) -> MetricsReport:
-    obj = json.loads(text)
-    cm = ConfusionMatrix(**{k: int(v) for k, v in obj["confusion"].items()})
-    return MetricsReport(
-        accuracy=float(obj["accuracy"]),
-        precision=float(obj["precision"]),
-        recall=float(obj["recall"]),
-        f1=float(obj["f1"]),
-        confusion=cm,
     )

@@ -95,14 +95,6 @@ class CrossAttentionLayer:
     d_k: int
 
 
-@dataclass(frozen=True)
-class MlpHead:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
 def _expected_shapes(config: ModelConfig) -> Dict[str, Tuple[int, int]]:
     """Parameter name -> shape map; dict order is the creation order."""
     d1, d2, dk = config.d1, config.d2, config.d_k
@@ -169,14 +161,6 @@ class FusionModel:
         w_v = self.params["attn_wv"] if "attn_wv" in self.params else w_k
         return CrossAttentionLayer(
             w_q=self.params["attn_wq"], w_k=w_k, w_v=w_v, d_k=self.config.d_k
-        )
-
-    def mlp_head(self) -> MlpHead:
-        return MlpHead(
-            w1=self.params["mlp_w1"],
-            b1=self.params["mlp_b1"],
-            w2=self.params["mlp_w2"],
-            b2=self.params["mlp_b2"],
         )
 
     def copy_params(self) -> Dict[str, np.ndarray]:
@@ -337,10 +321,12 @@ def cross_attention(
     return T.multihead_attention(q, k, v, 1, q_bounds, kv_bounds)
 
 
-def mlp_forward(head: MlpHead, x: Tensor, outer_relu: bool = False) -> Tensor:
-    hidden = T.relu(T.add(T.matmul(x, head.w1), head.b1))
-    out = T.add(T.matmul(hidden, head.w2), head.b2)
-    return T.relu(out) if outer_relu else out
+def mlp_forward(model: FusionModel, x: Tensor) -> Tensor:
+    """The two-layer head, with a ReLU on the logits when outer_relu is set."""
+    p = model.params
+    hidden = T.relu(T.add(T.matmul(x, p["mlp_w1"]), p["mlp_b1"]))
+    out = T.add(T.matmul(hidden, p["mlp_w2"]), p["mlp_b2"])
+    return T.relu(out) if model.config.outer_relu else out
 
 
 def forward(
@@ -369,7 +355,7 @@ def forward(
         fused = T.concat_cols(
             T.mean_rows(tokens, token_bounds), T.mean_rows(stats, stat_bounds)
         )
-    return mlp_forward(model.mlp_head(), fused, cfg.outer_relu)
+    return mlp_forward(model, fused)
 
 
 def _vocab_payload(vocab: Optional[Vocab]):

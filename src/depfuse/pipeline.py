@@ -1,9 +1,10 @@
 """End-to-end wiring: corpus -> features -> model -> training -> metrics.
 
 RunConfig names every run setting once: model dimensions, optimizer
-settings, split parameters and file paths, each with a default. The CLI
-derives its config-file keys and flags from these fields, and the model and
-training configs take the fields that share their names. The same pipeline
+settings, split parameters and file paths. The CLI derives its config-file
+keys and flags from these fields. The model, training and split settings
+default to what ModelConfig, TrainConfig and SplitSpec declare, and those
+configs take the RunConfig fields that share their names. The same pipeline
 backs the ``train`` and ``ablate`` subcommands.
 """
 
@@ -70,28 +71,28 @@ class RunConfig:
         DEFAULT_NEGATIVITY_THRESHOLD, help="negativity threshold (default 0.5)"
     )
     # split
-    ratio: float = setting(0.8, help="train fraction of the split (default 0.8)")
-    seed: int = setting(0, help="root seed for all randomness")
+    ratio: float = setting(SplitSpec.ratio, help="train fraction of the split (default 0.8)")
+    seed: int = setting(TrainConfig.seed, help="root seed for all randomness")
     # text
     min_freq: int = 1
-    max_len: int = 256
+    max_len: int = ModelConfig.max_len
     # model
-    d1: int = 32
-    d2: int = 32
-    d_k: int = 32
-    refine_layers: int = 0
-    refine_heads: int = 4
-    mlp_hidden: int = 32
-    fusion: str = setting("cross_attention", choices=FUSION_MODES)
-    value_projection: str = setting("shared_with_key", choices=VALUE_PROJECTIONS)
-    outer_relu: bool = False
-    fusion_query: str = setting("tokens", choices=FUSION_QUERIES)
+    d1: int = ModelConfig.d1
+    d2: int = ModelConfig.d2
+    d_k: int = ModelConfig.d_k
+    refine_layers: int = ModelConfig.refine_layers
+    refine_heads: int = ModelConfig.refine_heads
+    mlp_hidden: int = ModelConfig.mlp_hidden
+    fusion: str = setting(ModelConfig.fusion, choices=FUSION_MODES)
+    value_projection: str = setting(ModelConfig.value_projection, choices=VALUE_PROJECTIONS)
+    outer_relu: bool = ModelConfig.outer_relu
+    fusion_query: str = setting(ModelConfig.fusion_query, choices=FUSION_QUERIES)
     # optimization
-    learning_rate: float = setting(1e-3, flags=("--lr",))
-    batch_size: int = 8
-    epochs: int = 10
-    early_stop_patience: int = 0
-    shuffle_each_epoch: bool = True
+    learning_rate: float = setting(TrainConfig.learning_rate, flags=("--lr",))
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    early_stop_patience: int = TrainConfig.early_stop_patience
+    shuffle_each_epoch: bool = TrainConfig.shuffle_each_epoch
     # output
     timing: bool = setting(False, help="write real wall-clock seconds into history.csv")
 
@@ -118,7 +119,7 @@ def make_scorer(config: RunConfig) -> LexiconScorer:
     path = Path(config.lexicon)
     with input_errors(path, "lexicon"), path.open(encoding="utf-8") as fh:
         terms = load_lexicon(fh)
-    return LexiconScorer(terms, name=path.name)
+    return LexiconScorer(terms)
 
 
 def load_corpus(corpus: str) -> Tuple[List[UserRecord], List[ParseIssue]]:

@@ -36,7 +36,7 @@ where each integer tag is folded in with the SplitMix64 finalizer:
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, MutableSequence, Sequence, TypeVar
+from typing import MutableSequence, Sequence, TypeVar
 
 import numpy as np
 
@@ -136,11 +136,6 @@ class SplitMix64:
         for i in range(len(seq) - 1, 0, -1):
             j = self.randrange(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
-
-    def shuffled(self, items: Iterable[T]) -> List[T]:
-        out = list(items)
-        self.shuffle(out)
-        return out
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
         """Gaussian sample via Box-Muller; consumes two uniforms per pair."""

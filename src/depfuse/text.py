@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, TextIO, Tuple
 import numpy as np
 
 from .corpus import UserRecord
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 PAD = 0
 UNK = 1
@@ -76,7 +76,7 @@ def build_vocab(records: Iterable[UserRecord], min_freq: int = 1) -> Vocab:
     frequency >= min_freq. Ids are assigned from 4 in descending-frequency
     order with lexicographic tiebreak, so a fixed corpus yields a fixed map."""
     if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+        raise ConfigError(f"min_freq must be >= 1, got {min_freq}")
     counts: Counter = Counter()
     for record in records:
         streams = [record.nickname, record.profile] + [t.text for t in record.tweets]
@@ -105,7 +105,7 @@ def build_user_sequence(user: UserRecord, vocab: Vocab, max_len: int = 256) -> T
     tweet texts in chronological order with SEP between consecutive tweets;
     truncated to max_len and padded with PAD."""
     if max_len < 8:
-        raise ValueError(f"max_len must be >= 8, got {max_len}")
+        raise ConfigError(f"max_len must be >= 8, got {max_len}")
     encode = vocab.token_to_id.get
     ids: List[int] = [CLS]
     ids.extend([encode(t, UNK) for t in tokenize(user.nickname)])

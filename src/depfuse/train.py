@@ -7,6 +7,7 @@ encoder needs to converge from random init.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,28 +34,28 @@ from .text import Vocab, build_user_sequence
 # Elements per block of an Adam update (256 KiB of float64 per array).
 _ADAM_BLOCK = 1 << 15
 
+# Adam's moment decay rates and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 8
     epochs: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     shuffle_each_epoch: bool = True
     early_stop_patience: int = 0  # 0 disables best-checkpoint tracking
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("Adam betas must lie in [0, 1)")
         if self.early_stop_patience < 0:
             raise ConfigError("early_stop_patience must be >= 0")
 
@@ -129,7 +130,7 @@ def adam_step(
     so the values equal that out-of-place formula bit for bit."""
     state.t += 1
     t = state.t
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = BETA1, BETA2
     for name, p in params.items():
         if p.grad is None:
             raise UsageError(f"parameter {name} has no gradient; run backward first")
@@ -148,7 +149,7 @@ def adam_step(
             np.divide(m, 1.0 - b1**t, out=step)
             denom = np.divide(v, 1.0 - b2**t)
             np.sqrt(denom, out=denom)
-            denom += config.epsilon
+            denom += EPSILON
             step *= config.learning_rate
             step /= denom
             w -= step

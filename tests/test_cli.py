@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from depfuse.cli import build_parser, main, parse_config_file
-from depfuse.metrics import report_from_json
 from depfuse.pipeline import RunConfig
 
 
@@ -101,8 +100,8 @@ class TestTrain:
         history = (trained / "history.csv").read_text().strip().split("\n")
         assert history[0] == "epoch,train_loss,val_acc,val_f1,seconds"
         assert len(history) == 3
-        report = report_from_json((trained / "metrics.json").read_text())
-        assert 0.0 <= report.accuracy <= 1.0
+        report = json.loads((trained / "metrics.json").read_text())
+        assert 0.0 <= report["accuracy"] <= 1.0
 
     def test_rerun_byte_identical(self, corpus, trained, tmp_path):
         other = tmp_path / "run2"
@@ -308,6 +307,44 @@ class TestExitCodes:
 
         monkeypatch.setattr("depfuse.cli.run_training", explode)
         assert main(train_args(corpus, tmp_path / "x")) == 4
+
+
+def assert_usage_error(argv, capsys):
+    """``argv`` is refused with exit code 2 and an error line, not a traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err, (code, err)
+
+
+class TestRefusedSettings:
+    # NaN passes a plain "> 0" test, so the learning rate must also be finite.
+    @pytest.mark.parametrize(
+        "flags",
+        [["--min-freq", "0"], ["--max-len", "4"], ["--lr", "nan"], ["--lr", "inf"]],
+        ids=["min-freq-0", "max-len-4", "lr-nan", "lr-inf"],
+    )
+    def test_exit_2(self, corpus, tmp_path, capsys, flags):
+        assert_usage_error(train_args(corpus, tmp_path / "run", flags), capsys)
+
+
+class TestOutputUnderRegularFile:
+    @pytest.mark.parametrize(
+        "verb", ["train", "ablate", "gen-synth", "featurize", "eval", "predict"]
+    )
+    def test_exit_2(self, corpus, trained, tmp_path, capsys, verb):
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n")
+        read = ["--corpus", str(corpus), "--seed", "7"]
+        checkpoint = ["--checkpoint", str(trained / "checkpoint.json")]
+        argv = {
+            "train": train_args(corpus, blocker / "r"),
+            "ablate": ["ablate", *train_args(corpus, blocker / "r")[1:]],
+            "gen-synth": ["gen-synth", "--n", "2", "--out", str(blocker / "x")],
+            "featurize": ["featurize", *read, "--out", str(blocker / "x")],
+            "eval": ["eval", *read, *checkpoint, "--out", str(blocker / "x")],
+            "predict": ["predict", *read, *checkpoint, "--out", str(blocker / "x")],
+        }[verb]
+        assert_usage_error(argv, capsys)
 
 
 class TestConfigFile:

@@ -8,7 +8,6 @@ from depfuse.errors import ConfigError, DataFormatError, DimensionError, UsageEr
 from depfuse.features import FeatureNormalizer
 from depfuse.model import (
     CrossAttentionLayer,
-    MlpHead,
     ModelConfig,
     attention_weights,
     cross_attention,
@@ -235,24 +234,28 @@ class TestCrossAttention:
 
 
 class TestMlp:
-    def head(self, b2=(0.0, 0.0)):
-        return MlpHead(
-            w1=tensor(np.eye(2)),
-            b1=tensor(np.zeros((1, 2))),
-            w2=tensor(np.eye(2)),
-            b2=tensor(np.array([b2])),
+    def model(self, outer_relu, b2=(0.0, 0.0)):
+        # concat fusion with d1 = d2 = 1 feeds the head a width-2 input.
+        config = small_config(fusion="concat", d1=1, d2=1, mlp_hidden=2, outer_relu=outer_relu)
+        model = init_params(config, seed=0)
+        model.params.update(
+            mlp_w1=tensor(np.eye(2)),
+            mlp_b1=tensor(np.zeros((1, 2))),
+            mlp_w2=tensor(np.eye(2)),
+            mlp_b2=tensor(np.array([b2])),
         )
+        return model
 
     def test_identity_weights(self):
         x = tensor([[-1.0, 2.0]])
-        np.testing.assert_array_equal(mlp_forward(self.head(), x, outer_relu=True).data, [[0.0, 2.0]])
-        np.testing.assert_array_equal(mlp_forward(self.head(), x, outer_relu=False).data, [[0.0, 2.0]])
+        np.testing.assert_array_equal(mlp_forward(self.model(True), x).data, [[0.0, 2.0]])
+        np.testing.assert_array_equal(mlp_forward(self.model(False), x).data, [[0.0, 2.0]])
 
     def test_outer_relu_flag_effect(self):
         x = tensor([[0.0, 0.0]])
-        head = self.head(b2=(-1.0, 1.0))
-        np.testing.assert_array_equal(mlp_forward(head, x, outer_relu=True).data, [[0.0, 1.0]])
-        np.testing.assert_array_equal(mlp_forward(head, x, outer_relu=False).data, [[-1.0, 1.0]])
+        b2 = (-1.0, 1.0)
+        np.testing.assert_array_equal(mlp_forward(self.model(True, b2), x).data, [[0.0, 1.0]])
+        np.testing.assert_array_equal(mlp_forward(self.model(False, b2), x).data, [[-1.0, 1.0]])
 
 
 class TestForward:
