@@ -25,7 +25,7 @@ from .errors import ConfigError, DataFormatError, DimensionError, UsageError
 from .features import N_FEATURES, FeatureNormalizer
 from .rng import STREAM_INIT, SplitMix64, derive_seed
 from .tensor import Tensor
-from .text import CLS, TokenSequence, Vocab
+from .text import CLS, N_SPECIALS, TokenSequence, Vocab
 
 FUSION_MODES = ("cross_attention", "concat")
 VALUE_PROJECTIONS = ("shared_with_key", "separate")
@@ -69,7 +69,7 @@ class ModelConfig:
             raise ConfigError(
                 f"fusion_query must be one of {FUSION_QUERIES}, got {self.fusion_query!r}"
             )
-        if self.vocab_size < 4:
+        if self.vocab_size < N_SPECIALS:
             raise ConfigError(f"vocab_size must cover the specials, got {self.vocab_size}")
         if self.max_len < 8:
             raise ConfigError(f"max_len must be >= 8, got {self.max_len}")

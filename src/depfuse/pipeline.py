@@ -34,7 +34,7 @@ from .model import (
     init_params,
     save_checkpoint,
 )
-from .text import build_vocab
+from .text import DEFAULT_MIN_FREQ, N_SPECIALS, build_vocab
 from .train import (
     TrainConfig,
     TrainHistory,
@@ -74,7 +74,7 @@ class RunConfig:
     ratio: float = setting(SplitSpec.ratio, help="train fraction of the split (default 0.8)")
     seed: int = setting(TrainConfig.seed, help="root seed for all randomness")
     # text
-    min_freq: int = 1
+    min_freq: int = DEFAULT_MIN_FREQ
     max_len: int = ModelConfig.max_len
     # model
     d1: int = ModelConfig.d1
@@ -95,6 +95,19 @@ class RunConfig:
     shuffle_each_epoch: bool = TrainConfig.shuffle_each_epoch
     # output
     timing: bool = setting(False, help="write real wall-clock seconds into history.csv")
+
+    def validate(self) -> None:
+        """Refuse bad model and optimizer settings, and an output directory
+        that cannot be created, before any input is read. The model check
+        stands in the smallest vocabulary, the specials alone."""
+        self.model_config(vocab_size=N_SPECIALS).validate()
+        self.train_config().validate()
+        out_dir = Path(self.out_dir)
+        for path in (out_dir, *out_dir.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise ConfigError(f"out_dir {out_dir}: {path} is not a directory")
+                break
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return build_from(ModelConfig, vars(self), vocab_size=vocab_size)
@@ -175,6 +188,7 @@ def train_from_records(
 
 def run_training(config: RunConfig) -> PipelineResult:
     """Full file-to-files run: parse the corpus, train, write artifacts."""
+    config.validate()
     records, issues = load_corpus(config.corpus)
     result = train_from_records(records, config)
     result.issues = issues
@@ -221,9 +235,12 @@ def ablation_variants(config: RunConfig) -> List[Tuple[str, RunConfig]]:
 
 def run_ablation(config: RunConfig) -> List[Tuple[str, MetricsReport]]:
     """Run all ablation variants and write a summary CSV next to them."""
+    variants = ablation_variants(config)
+    for _name, variant in variants:
+        variant.validate()
     records, _issues = load_corpus(config.corpus)
     results: List[Tuple[str, MetricsReport]] = []
-    for name, variant in ablation_variants(config):
+    for name, variant in variants:
         result = train_from_records(records, variant)
         write_artifacts(result, variant)
         results.append((name, result.report))

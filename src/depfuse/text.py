@@ -31,6 +31,9 @@ CLS = 2
 SEP = 3
 
 _SPECIALS = ("<pad>", "<unk>", "<cls>", "<sep>")
+N_SPECIALS = len(_SPECIALS)
+
+DEFAULT_MIN_FREQ = 1
 
 _CJK_RANGES = (
     (0x3400, 0x4DBF),  # CJK extension A
@@ -65,13 +68,13 @@ class Vocab:
     min_freq: int
 
     def __len__(self) -> int:
-        return len(self.token_to_id) + len(_SPECIALS)
+        return len(self.token_to_id) + N_SPECIALS
 
     def encode(self, token: str) -> int:
         return self.token_to_id.get(token, UNK)
 
 
-def build_vocab(records: Iterable[UserRecord], min_freq: int = 1) -> Vocab:
+def build_vocab(records: Iterable[UserRecord], min_freq: int = DEFAULT_MIN_FREQ) -> Vocab:
     """Count tokens over nicknames, profiles and tweet texts; keep tokens with
     frequency >= min_freq. Ids are assigned from 4 in descending-frequency
     order with lexicographic tiebreak, so a fixed corpus yields a fixed map."""
@@ -87,7 +90,7 @@ def build_vocab(records: Iterable[UserRecord], min_freq: int = 1) -> Vocab:
         key=lambda tok: (-counts[tok], tok),
     )
     return Vocab(
-        token_to_id={tok: i + len(_SPECIALS) for i, tok in enumerate(kept)},
+        token_to_id={tok: i + N_SPECIALS for i, tok in enumerate(kept)},
         min_freq=min_freq,
     )
 
@@ -100,7 +103,7 @@ class TokenSequence:
     true_len: int
 
 
-def build_user_sequence(user: UserRecord, vocab: Vocab, max_len: int = 256) -> TokenSequence:
+def build_user_sequence(user: UserRecord, vocab: Vocab, max_len: int) -> TokenSequence:
     """Token stream: CLS, nickname tokens, SEP, profile tokens, SEP, then the
     tweet texts in chronological order with SEP between consecutive tweets;
     truncated to max_len and padded with PAD."""

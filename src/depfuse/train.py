@@ -26,7 +26,7 @@ from .features import (
     extract_features,
 )
 from .metrics import MetricsReport, evaluate_predictions
-from .model import FusionModel, TokenInput, forward
+from .model import FusionModel, ModelConfig, TokenInput, forward
 from .rng import STREAM_TRAIN, SplitMix64, derive_seed
 from .tensor import Tensor
 from .text import Vocab, build_user_sequence
@@ -169,7 +169,7 @@ def prepare_examples(
     normalizer: FeatureNormalizer,
     scorer: SentimentScorer,
     threshold: float = DEFAULT_NEGATIVITY_THRESHOLD,
-    max_len: int = 256,
+    max_len: int = ModelConfig.max_len,
     embeddings: Optional[Dict[str, np.ndarray]] = None,
     vectors: Optional[Sequence[StatFeatureVector]] = None,
 ) -> List[PreparedExample]:

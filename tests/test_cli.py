@@ -310,10 +310,12 @@ class TestExitCodes:
 
 
 def assert_usage_error(argv, capsys):
-    """``argv`` is refused with exit code 2 and an error line, not a traceback."""
+    """``argv`` is refused with exit code 2 and an error line, not a
+    traceback; returns the error output."""
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:") and "Traceback" not in err, (code, err)
+    return err
 
 
 class TestRefusedSettings:
@@ -325,6 +327,33 @@ class TestRefusedSettings:
     )
     def test_exit_2(self, corpus, tmp_path, capsys, flags):
         assert_usage_error(train_args(corpus, tmp_path / "run", flags), capsys)
+
+
+class TestRefusedBeforeTheCorpusIsRead:
+    # ablate takes no --refine-layers: its variants with two blocks meet the
+    # heads that do not divide d1.
+    @pytest.mark.parametrize(
+        "verb, flags, setting",
+        [
+            ("train", ["--lr", "nan"], "learning_rate"),
+            ("ablate", ["--lr", "nan"], "learning_rate"),
+            ("train", ["--refine-layers", "1", "--refine-heads", "3"], "refine_heads"),
+            ("ablate", ["--refine-heads", "3"], "refine_heads"),
+            ("train", ["--out-dir", "{blocker}/r"], "out_dir"),
+            ("ablate", ["--out-dir", "{blocker}/r"], "out_dir"),
+        ],
+        ids=["train-lr", "ablate-lr", "train-heads", "ablate-heads", "train-out", "ablate-out"],
+    )
+    def test_exit_2(self, corpus, tmp_path, capsys, monkeypatch, verb, flags, setting):
+        def parse_corpus(*_args):
+            raise AssertionError("the corpus was read before the settings were checked")
+
+        monkeypatch.setattr("depfuse.pipeline.parse_corpus", parse_corpus)
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n")
+        flags = [flag.format(blocker=blocker) for flag in flags]
+        argv = [verb, *train_args(corpus, tmp_path / "run", flags)[1:]]
+        assert setting in assert_usage_error(argv, capsys)
 
 
 class TestOutputUnderRegularFile:

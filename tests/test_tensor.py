@@ -314,12 +314,22 @@ def test_multihead_attention_shape_errors():
         T.multihead_attention(a, tensor(np.zeros((3, 2))), a, 2)
 
 
-@pytest.mark.parametrize("heads", [1, 4])
-def test_segmented_ops_match_each_segment_alone_bitwise(heads):
+@pytest.mark.parametrize(
+    "heads, kv_lens",
+    [
+        pytest.param(heads, kv_lens, id=f"{kind}{heads}")
+        for kind, kv_lens in (("", [6, 255, 1, 256]), ("fusion-", [6, 6, 6, 6]))
+        for heads in (1, 4)
+    ],
+)
+def test_segmented_ops_match_each_segment_alone_bitwise(heads, kv_lens):
     # Segment lengths 1, 255 and 37 after a 256 at an unaligned offset: each
-    # segment must see only its own rows and round as it would alone.
+    # segment must see only its own rows and round as it would alone. With
+    # long key segments the probabilities outweigh the inputs and backward
+    # recomputes them; with six keys per segment, as in the fusion attention
+    # over the statistic rows, they are kept.
     rng = np.random.default_rng(heads)
-    q_lens, kv_lens = [1, 255, 37, 256], [6, 255, 1, 256]
+    q_lens = [1, 255, 37, 256]
     q_bounds, kv_bounds = ([0, *np.cumsum(n).tolist()] for n in (q_lens, kv_lens))
     arrays = [rng.normal(size=(n, 32)) for n in (q_bounds[-1], kv_bounds[-1], kv_bounds[-1])]
     upstream = rng.normal(size=(q_bounds[-1], 32))
@@ -344,6 +354,26 @@ def test_segmented_ops_match_each_segment_alone_bitwise(heads):
         assert k.grad[k0:k1].tobytes() == ks.grad.tobytes()
         assert v.grad[k0:k1].tobytes() == vs.grad.tobytes()
         assert q.grad[q0:q1].tobytes() == qs.grad.tobytes()
+
+
+def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
+    # b feeds the loss along two paths, so its gradient must be whole before
+    # it is passed on and dropped.
+    rng = np.random.default_rng(5)
+    x, w = leaf(rng, 4, 3), leaf(rng, 3, 3)
+    const = tensor(rng.normal(size=(4, 3)))
+    a = T.matmul(x, w)
+    b = T.relu(T.add(a, const))
+    c = T.mul(b, b)
+    loss = T.sum_all(T.add(c, T.scale(b, 3.0)))
+    loss.backward()
+    for interior in (a, b, c, loss):
+        assert interior.grad is None
+    assert const.grad is None
+    mask = (x.data @ w.data + const.data) > 0
+    upstream = (2.0 * np.maximum(x.data @ w.data + const.data, 0.0) + 3.0) * mask
+    np.testing.assert_allclose(x.grad, upstream @ w.data.T, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, x.data.T @ upstream, rtol=1e-12)
 
 
 def test_fold_rows_is_row_major():
