@@ -97,17 +97,19 @@ class RunConfig:
     timing: bool = setting(False, help="write real wall-clock seconds into history.csv")
 
     def validate(self) -> None:
-        """Refuse bad model and optimizer settings, and an output directory
-        that cannot be created, before any input is read. The model check
-        stands in the smallest vocabulary, the specials alone."""
+        """Refuse bad model and optimizer settings before any input is read.
+        The model check stands in the smallest vocabulary, the specials
+        alone."""
         self.model_config(vocab_size=N_SPECIALS).validate()
         self.train_config().validate()
-        out_dir = Path(self.out_dir)
-        for path in (out_dir, *out_dir.parents):
-            if path.exists():
-                if not path.is_dir():
-                    raise ConfigError(f"out_dir {out_dir}: {path} is not a directory")
-                break
+
+    def make_out_dir(self) -> None:
+        """Create the artifact directory before any input is read; any reason
+        it cannot be created is a ConfigError naming out_dir."""
+        try:
+            Path(self.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out_dir {self.out_dir}: {exc}") from None
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return build_from(ModelConfig, vars(self), vocab_size=vocab_size)
@@ -189,6 +191,7 @@ def train_from_records(
 def run_training(config: RunConfig) -> PipelineResult:
     """Full file-to-files run: parse the corpus, train, write artifacts."""
     config.validate()
+    config.make_out_dir()
     records, issues = load_corpus(config.corpus)
     result = train_from_records(records, config)
     result.issues = issues
@@ -238,6 +241,8 @@ def run_ablation(config: RunConfig) -> List[Tuple[str, MetricsReport]]:
     variants = ablation_variants(config)
     for _name, variant in variants:
         variant.validate()
+    for _name, variant in variants:
+        variant.make_out_dir()
     records, _issues = load_corpus(config.corpus)
     results: List[Tuple[str, MetricsReport]] = []
     for name, variant in variants:

@@ -18,11 +18,10 @@ not be mutated in place while their graph is alive; the optimizer mutates
 leaf parameters only between passes.
 
 A graph keeps only what its backward needs. After forward it holds each
-node's value and the arrays its backward closure reads; attention keeps its
-probability matrices only when they are no larger than its inputs, and
-recomputes them in backward otherwise. After backward it also holds the
-leaves' gradients: each interior node's gradient is dropped as soon as it
-has been passed on to the node's parents.
+node's value and the arrays its backward closure reads; attention keeps no
+probability matrix and recomputes each one in backward. After backward it
+also holds the leaves' gradients: each interior node's gradient is dropped
+as soon as it has been passed on to the node's parents.
 """
 
 from __future__ import annotations
@@ -377,23 +376,12 @@ def fold_rows(a: Tensor, rows: int) -> Tensor:
     return _node("fold_rows", a.data.reshape(r // rows, rows * c).copy(), (a,), backward)
 
 
-def _block(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A rows x cols matrix over the front of a flat scratch buffer."""
-    return buf[: rows * cols].reshape(rows, cols)
-
-
-def _attention_probabilities(
-    qh: np.ndarray, kt: np.ndarray, factor: float, out: np.ndarray
-) -> np.ndarray:
-    """softmax_rows((qh @ kt) * factor) computed in ``out``, with the ops and
-    order of softmax_rows, so every call on the same inputs gives the same
-    bits."""
-    np.matmul(qh, kt, out=out)
-    out *= factor
-    out -= out.max(axis=1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+def _attention_probabilities(qh: np.ndarray, kt: np.ndarray, factor: float) -> np.ndarray:
+    """softmax_rows((qh @ kt) * factor) with the ops and order of
+    softmax_rows, so every call on the same inputs gives the same bits."""
+    scores = (qh @ kt) * factor
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def multihead_attention(
@@ -418,16 +406,12 @@ def multihead_attention(
     composition, so values and gradients match that composition, run on the
     segment alone, bit for bit.
 
-    Backward needs each (segment, head) probability matrix. A call keeps
-    them when their total element count is no more than q.size + k.size +
-    v.size, as for the fusion attention over six statistic rows. Otherwise,
-    as for self-attention over long token runs, it keeps only the small
-    per-head copies of q, k and v, and backward recomputes each matrix from
-    them with the forward's own ops in the same order (the trade of Chen et
-    al. 2016, arXiv 1604.06174, and of Dao et al. 2022, arXiv 2205.14135).
-    The same ops on the same operands round the same way, so both paths give
-    the same bits. Forward and backward reuse one scratch block per matrix
-    role across the (segment, head) pairs instead of allocating per pair."""
+    Backward needs each (segment, head) probability matrix, but a call keeps
+    only the small per-head copies of q, k and v, and backward recomputes
+    each matrix from them with the forward's own ops in the same order (the
+    trade of Chen et al. 2016, arXiv 1604.06174, and of Dao et al. 2022,
+    arXiv 2205.14135). The same ops on the same operands round the same
+    way, so the recomputed matrix is the forward's, bit for bit."""
     width = q.shape[1]
     if k.shape[1] != width or k.shape[0] != v.shape[0]:
         raise DimensionError(
@@ -446,13 +430,8 @@ def multihead_attention(
     dq, dv = width // heads, v.shape[1] // heads
     factor = 1.0 / np.sqrt(dq)
     cols = [(slice(h * dq, (h + 1) * dq), slice(h * dv, (h + 1) * dv)) for h in range(heads)]
-    blocks = [(q1 - q0) * (k1 - k0) for (q0, q1), (k0, k1) in zip(q_segs, kv_segs)]
     # Scoring records no graph, so it keeps no per-segment intermediates.
     track = q.requires_grad or k.requires_grad or v.requires_grad
-    # Backward gets the probability matrices kept when they take no more
-    # memory than the inputs, and recomputed from qh and kt otherwise.
-    keep = track and heads * sum(blocks) <= q.data.size + k.data.size + v.data.size
-    scratch = np.empty(max(blocks))
     saved = []
     data = np.empty((q.shape[0], v.shape[1]))
     for (q0, q1), (k0, k1) in zip(q_segs, kv_segs):
@@ -460,28 +439,20 @@ def multihead_attention(
             qh = q.data[q0:q1, c].copy()
             kt = k.data[k0:k1, c].T.copy()
             vh = v.data[k0:k1, cv].copy()
-            w = np.empty((q1 - q0, k1 - k0)) if keep else _block(scratch, q1 - q0, k1 - k0)
-            _attention_probabilities(qh, kt, factor, w)
-            data[q0:q1, cv] = w @ vh
+            data[q0:q1, cv] = _attention_probabilities(qh, kt, factor) @ vh
             if track:
-                saved.append((q0, q1, k0, k1, c, cv, qh, kt, vh, w if keep else None))
+                saved.append((q0, q1, k0, k1, c, cv, qh, kt, vh))
 
     def backward(g: np.ndarray) -> None:
         gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        work = np.empty((3, max(blocks)))
-        for q0, q1, k0, k1, c, cv, qh, kt, vh, w in saved:
-            rows, keys = q1 - q0, k1 - k0
-            if w is None:
-                w = _attention_probabilities(qh, kt, factor, _block(work[0], rows, keys))
+        for q0, q1, k0, k1, c, cv, qh, kt, vh in saved:
+            w = _attention_probabilities(qh, kt, factor)
             gh = g[q0:q1, cv].copy()
-            gw = np.matmul(gh, vh.T, out=_block(work[1], rows, keys))
+            gw = gh @ vh.T
             gv[k0:k1, cv] = w.T @ gh
-            # gw becomes w * (gw - (gw * w).sum(axis=1)) * factor, op by op.
-            gw -= np.multiply(gw, w, out=_block(work[2], rows, keys)).sum(axis=1, keepdims=True)
-            gw *= w
-            gw *= factor
-            gq[q0:q1, c] = gw @ kt.T
-            gk[k0:k1, c] = (qh.T @ gw).T
+            gsc = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * factor
+            gq[q0:q1, c] = gsc @ kt.T
+            gk[k0:k1, c] = (qh.T @ gsc).T
         for t, gt in ((q, gq), (k, gk), (v, gv)):
             if t.requires_grad:
                 t._accumulate(gt)

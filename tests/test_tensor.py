@@ -324,10 +324,10 @@ def test_multihead_attention_shape_errors():
 )
 def test_segmented_ops_match_each_segment_alone_bitwise(heads, kv_lens):
     # Segment lengths 1, 255 and 37 after a 256 at an unaligned offset: each
-    # segment must see only its own rows and round as it would alone. With
-    # long key segments the probabilities outweigh the inputs and backward
-    # recomputes them; with six keys per segment, as in the fusion attention
-    # over the statistic rows, they are kept.
+    # segment must see only its own rows and round as it would alone, and
+    # backward must recompute the forward's probabilities bit for bit, for
+    # long key segments and for six keys per segment, as in the fusion
+    # attention over the statistic rows.
     rng = np.random.default_rng(heads)
     q_lens = [1, 255, 37, 256]
     q_bounds, kv_bounds = ([0, *np.cumsum(n).tolist()] for n in (q_lens, kv_lens))
