@@ -28,9 +28,16 @@ from dataclasses import Field, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import ParseIssue, SplitSpec, UserRecord, serialize_records, split_dataset
+from .corpus import (
+    ParseIssue,
+    SplitSpec,
+    UserRecord,
+    check_ratio,
+    serialize_records,
+    split_dataset,
+)
 from .errors import ConfigError, DataFormatError, NumericalError, UsageError, input_errors
-from .features import FEATURE_NAMES, extract_features
+from .features import FEATURE_NAMES, check_threshold, extract_features
 from .metrics import report_to_json
 from .model import load_checkpoint, vocab_fingerprint
 from .pipeline import (
@@ -184,6 +191,7 @@ def cmd_gen_synth(config: RunConfig, opts: VerbOptions) -> int:
 
 
 def cmd_featurize(config: RunConfig, opts: VerbOptions) -> int:
+    check_threshold(config.threshold)
     records = _load_records(config.corpus)
     scorer = make_scorer(config)
     lines = [",".join(("user_id", "label", *FEATURE_NAMES))]
@@ -237,6 +245,9 @@ def _prepare_for_model(model, records, config: RunConfig):
 def cmd_eval(config: RunConfig, opts: VerbOptions) -> int:
     if opts.split not in SPLITS:
         raise ConfigError(f"--split must be {'|'.join(SPLITS)}, got {opts.split!r}")
+    check_threshold(config.threshold)
+    if opts.split != "all":
+        check_ratio(config.ratio)
     model = _load_model_for(opts)
     records = _load_records(config.corpus)
     if opts.split != "all":
@@ -263,6 +274,7 @@ def cmd_eval(config: RunConfig, opts: VerbOptions) -> int:
 
 
 def cmd_predict(config: RunConfig, opts: VerbOptions) -> int:
+    check_threshold(config.threshold)
     model = _load_model_for(opts)
     records = _load_records(config.corpus)
     if not records:

@@ -304,6 +304,11 @@ def serialize_records(records: Iterable[UserRecord]) -> bytes:
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
+def check_ratio(ratio: float) -> None:
+    if not (0.0 < ratio < 1.0):
+        raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
+
+
 def split_dataset(
     records: List[UserRecord], spec: SplitSpec
 ) -> Tuple[List[UserRecord], List[UserRecord]]:
@@ -316,8 +321,7 @@ def split_dataset(
     """
     if not records:
         raise ConfigError("split_dataset requires a non-empty record list")
-    if not (0.0 < spec.ratio < 1.0):
-        raise ConfigError(f"split ratio must be in (0, 1), got {spec.ratio}")
+    check_ratio(spec.ratio)
     train: List[UserRecord] = []
     validation: List[UserRecord] = []
     for label in (LABEL_NORMAL, LABEL_DEPRESSED):

@@ -149,14 +149,18 @@ def posting_time_sd(tweets: Sequence[Tweet]) -> float:
     return math.sqrt(variance)
 
 
+def check_threshold(threshold: float) -> None:
+    if not (0.0 <= threshold <= 1.0):
+        raise ConfigError(f"negativity threshold must be in [0, 1], got {threshold}")
+
+
 def proportion_negative(
     tweets: Sequence[Tweet],
     scorer: SentimentScorer,
     threshold: float = DEFAULT_NEGATIVITY_THRESHOLD,
 ) -> float:
     """Fraction of tweets whose negativity score strictly exceeds threshold."""
-    if not (0.0 <= threshold <= 1.0):
-        raise ConfigError(f"negativity threshold must be in [0, 1], got {threshold}")
+    check_threshold(threshold)
     if not tweets:
         return 0.0
     count = 0

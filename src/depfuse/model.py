@@ -147,9 +147,6 @@ class FusionModel:
         self.vocab = vocab
         self.normalizer = normalizer
 
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()

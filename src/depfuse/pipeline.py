@@ -14,11 +14,19 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .corpus import ParseIssue, SplitSpec, UserRecord, parse_corpus, split_dataset
+from .corpus import (
+    ParseIssue,
+    SplitSpec,
+    UserRecord,
+    check_ratio,
+    parse_corpus,
+    split_dataset,
+)
 from .errors import ConfigError, input_errors
 from .features import (
     DEFAULT_NEGATIVITY_THRESHOLD,
     LexiconScorer,
+    check_threshold,
     default_scorer,
     extract_features,
     fit_normalizer,
@@ -34,7 +42,7 @@ from .model import (
     init_params,
     save_checkpoint,
 )
-from .text import DEFAULT_MIN_FREQ, N_SPECIALS, build_vocab
+from .text import DEFAULT_MIN_FREQ, N_SPECIALS, build_vocab, check_min_freq
 from .train import (
     TrainConfig,
     TrainHistory,
@@ -97,9 +105,12 @@ class RunConfig:
     timing: bool = setting(False, help="write real wall-clock seconds into history.csv")
 
     def validate(self) -> None:
-        """Refuse bad model and optimizer settings before any input is read.
-        The model check stands in the smallest vocabulary, the specials
-        alone."""
+        """Refuse bad settings before any input is read, with the checks
+        their consumers run. The model check stands in the smallest
+        vocabulary, the specials alone."""
+        check_threshold(self.threshold)
+        check_ratio(self.ratio)
+        check_min_freq(self.min_freq)
         self.model_config(vocab_size=N_SPECIALS).validate()
         self.train_config().validate()
 

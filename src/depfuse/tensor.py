@@ -19,9 +19,12 @@ leaf parameters only between passes.
 
 A graph keeps only what its backward needs. After forward it holds each
 node's value and the arrays its backward closure reads; attention keeps no
-probability matrix and recomputes each one in backward. After backward it
-also holds the leaves' gradients: each interior node's gradient is dropped
-as soon as it has been passed on to the node's parents.
+probability matrix, only each (segment, head) pair's softmax row max and
+row sum, and recomputes the matrix from them in backward. Forward and
+backward each compute those matrices in scratch blocks that belong to the
+call and are reused from pair to pair. After backward a graph also holds
+the leaves' gradients: each interior node's gradient is dropped as soon as
+it has been passed on to the node's parents.
 """
 
 from __future__ import annotations
@@ -376,12 +379,33 @@ def fold_rows(a: Tensor, rows: int) -> Tensor:
     return _node("fold_rows", a.data.reshape(r // rows, rows * c).copy(), (a,), backward)
 
 
-def _attention_probabilities(qh: np.ndarray, kt: np.ndarray, factor: float) -> np.ndarray:
-    """softmax_rows((qh @ kt) * factor) with the ops and order of
-    softmax_rows, so every call on the same inputs gives the same bits."""
-    scores = (qh @ kt) * factor
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _block(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix over the front of a flat scratch buffer."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+RowStats = Tuple[np.ndarray, np.ndarray]
+
+
+def _probabilities(
+    qh: np.ndarray,
+    kt: np.ndarray,
+    factor: float,
+    out: np.ndarray,
+    stats: Optional[RowStats] = None,
+) -> Tuple[np.ndarray, RowStats]:
+    """softmax_rows((qh @ kt) * factor) computed in place in ``out``, with the
+    ops and order of softmax_rows, and its (row max, row sum). Given the
+    stats of an earlier call on the same operands, it takes no reduction and
+    gives that call's bits again."""
+    w = np.matmul(qh, kt, out=out)
+    w *= factor
+    top = w.max(axis=1, keepdims=True) if stats is None else stats[0]
+    w -= top
+    np.exp(w, out=w)
+    total = w.sum(axis=1, keepdims=True) if stats is None else stats[1]
+    w /= total
+    return w, (top, total)
 
 
 def multihead_attention(
@@ -406,12 +430,17 @@ def multihead_attention(
     composition, so values and gradients match that composition, run on the
     segment alone, bit for bit.
 
-    Backward needs each (segment, head) probability matrix, but a call keeps
-    only the small per-head copies of q, k and v, and backward recomputes
-    each matrix from them with the forward's own ops in the same order (the
-    trade of Chen et al. 2016, arXiv 1604.06174, and of Dao et al. 2022,
-    arXiv 2205.14135). The same ops on the same operands round the same
-    way, so the recomputed matrix is the forward's, bit for bit."""
+    No (segment, head) pair allocates its own probability matrix. Forward
+    computes each one in place in a block over the front of one scratch
+    buffer per call, sized to the largest pair, and backward does the same in
+    a three-block work buffer of its own. A call keeps the small per-head
+    copies of q, k and v and, per pair, the softmax row max and row sum; the
+    FlashAttention saved statistic of Dao et al. 2022 (arXiv 2205.14135).
+    Backward recomputes each matrix from them with the forward's own ops and
+    operands, with no reduction (the trade of Chen et al. 2016, arXiv
+    1604.06174), so the recomputed matrix is the forward's, bit for bit. The
+    buffers belong to the call, so graphs alive at the same time share
+    none."""
     width = q.shape[1]
     if k.shape[1] != width or k.shape[0] != v.shape[0]:
         raise DimensionError(
@@ -430,6 +459,8 @@ def multihead_attention(
     dq, dv = width // heads, v.shape[1] // heads
     factor = 1.0 / np.sqrt(dq)
     cols = [(slice(h * dq, (h + 1) * dq), slice(h * dv, (h + 1) * dv)) for h in range(heads)]
+    biggest = max((q1 - q0) * (k1 - k0) for (q0, q1), (k0, k1) in zip(q_segs, kv_segs))
+    scratch = np.empty(biggest)
     # Scoring records no graph, so it keeps no per-segment intermediates.
     track = q.requires_grad or k.requires_grad or v.requires_grad
     saved = []
@@ -439,20 +470,26 @@ def multihead_attention(
             qh = q.data[q0:q1, c].copy()
             kt = k.data[k0:k1, c].T.copy()
             vh = v.data[k0:k1, cv].copy()
-            data[q0:q1, cv] = _attention_probabilities(qh, kt, factor) @ vh
+            w, stats = _probabilities(qh, kt, factor, _block(scratch, q1 - q0, k1 - k0))
+            data[q0:q1, cv] = w @ vh
             if track:
-                saved.append((q0, q1, k0, k1, c, cv, qh, kt, vh))
+                saved.append((q0, q1, k0, k1, c, cv, qh, kt, vh, stats))
 
     def backward(g: np.ndarray) -> None:
         gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        for q0, q1, k0, k1, c, cv, qh, kt, vh in saved:
-            w = _attention_probabilities(qh, kt, factor)
+        work = np.empty((3, biggest))
+        for q0, q1, k0, k1, c, cv, qh, kt, vh, stats in saved:
+            rows, keys = q1 - q0, k1 - k0
+            w, _ = _probabilities(qh, kt, factor, _block(work[0], rows, keys), stats)
             gh = g[q0:q1, cv].copy()
-            gw = gh @ vh.T
+            gw = np.matmul(gh, vh.T, out=_block(work[1], rows, keys))
             gv[k0:k1, cv] = w.T @ gh
-            gsc = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * factor
-            gq[q0:q1, c] = gsc @ kt.T
-            gk[k0:k1, c] = (qh.T @ gsc).T
+            # gw becomes w * (gw - (gw * w).sum(axis=1)) * factor, op by op.
+            gw -= np.multiply(gw, w, out=_block(work[2], rows, keys)).sum(axis=1, keepdims=True)
+            gw *= w
+            gw *= factor
+            gq[q0:q1, c] = gw @ kt.T
+            gk[k0:k1, c] = (qh.T @ gw).T
         for t, gt in ((q, gq), (k, gk), (v, gv)):
             if t.requires_grad:
                 t._accumulate(gt)

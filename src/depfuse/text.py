@@ -74,12 +74,16 @@ class Vocab:
         return self.token_to_id.get(token, UNK)
 
 
+def check_min_freq(min_freq: int) -> None:
+    if min_freq < 1:
+        raise ConfigError(f"min_freq must be >= 1, got {min_freq}")
+
+
 def build_vocab(records: Iterable[UserRecord], min_freq: int = DEFAULT_MIN_FREQ) -> Vocab:
     """Count tokens over nicknames, profiles and tweet texts; keep tokens with
     frequency >= min_freq. Ids are assigned from 4 in descending-frequency
     order with lexicographic tiebreak, so a fixed corpus yields a fixed map."""
-    if min_freq < 1:
-        raise ConfigError(f"min_freq must be >= 1, got {min_freq}")
+    check_min_freq(min_freq)
     counts: Counter = Counter()
     for record in records:
         streams = [record.nickname, record.profile] + [t.text for t in record.tweets]

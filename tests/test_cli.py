@@ -341,8 +341,14 @@ class TestRefusedBeforeTheCorpusIsRead:
             ("ablate", ["--refine-heads", "3"], "refine_heads"),
             ("train", ["--out-dir", "{blocker}/r"], "out_dir"),
             ("ablate", ["--out-dir", "{blocker}/r"], "out_dir"),
+            ("train", ["--min-freq", "0"], "min_freq"),
+            ("train", ["--ratio", "1.5"], "ratio"),
+            ("train", ["--threshold", "2"], "threshold"),
         ],
-        ids=["train-lr", "ablate-lr", "train-heads", "ablate-heads", "train-out", "ablate-out"],
+        ids=[
+            "train-lr", "ablate-lr", "train-heads", "ablate-heads", "train-out", "ablate-out",
+            "train-min-freq", "train-ratio", "train-threshold",
+        ],
     )
     def test_exit_2(self, corpus, tmp_path, capsys, monkeypatch, verb, flags, setting):
         def parse_corpus(*_args):
@@ -353,6 +359,28 @@ class TestRefusedBeforeTheCorpusIsRead:
         blocker.write_text("not a directory\n")
         flags = [flag.format(blocker=blocker) for flag in flags]
         argv = [verb, *train_args(corpus, tmp_path / "run", flags)[1:]]
+        assert setting in assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "verb, flags, setting",
+        [
+            ("featurize", ["--threshold", "2"], "threshold"),
+            ("eval", ["--threshold", "2"], "threshold"),
+            ("eval", ["--split", "validation", "--ratio", "1.5"], "ratio"),
+            ("predict", ["--threshold", "2"], "threshold"),
+        ],
+        ids=["featurize-threshold", "eval-threshold", "eval-ratio", "predict-threshold"],
+    )
+    def test_reading_verbs_exit_2(
+        self, corpus, trained, capsys, monkeypatch, verb, flags, setting
+    ):
+        def parse_corpus(*_args):
+            raise AssertionError("the corpus was read before the settings were checked")
+
+        monkeypatch.setattr("depfuse.pipeline.parse_corpus", parse_corpus)
+        argv = [verb, "--corpus", str(corpus), *flags]
+        if verb != "featurize":
+            argv += ["--checkpoint", str(trained / "checkpoint.json")]
         assert setting in assert_usage_error(argv, capsys)
 
 

@@ -71,21 +71,23 @@ class TestInit:
         expected_shared = V * d1 + L * d1 + 2 * 6 * d2 + (d1 * dk + d2 * dk) + (
             dk * hid + hid + hid * 2 + 2
         )
-        shared = init_params(
-            ModelConfig(vocab_size=V, max_len=L), seed=0
-        ).parameter_count()
+        model = init_params(ModelConfig(vocab_size=V, max_len=L), seed=0)
+        shared = sum(p.data.size for p in model.params.values())
         assert shared == expected_shared == 7266
-        separate = init_params(
+        model = init_params(
             ModelConfig(vocab_size=V, max_len=L, value_projection="separate"), seed=0
-        ).parameter_count()
+        )
+        separate = sum(p.data.size for p in model.params.values())
         assert separate == expected_shared + d2 * dk == 8290
 
     def test_shared_vs_separate_census_delta(self):
         for cfg in (small_config(), small_config(d2=3, d_k=5)):
-            shared = init_params(cfg, seed=0).parameter_count()
-            sep = init_params(
+            model = init_params(cfg, seed=0)
+            shared = sum(p.data.size for p in model.params.values())
+            model = init_params(
                 ModelConfig(**{**cfg.__dict__, "value_projection": "separate"}), seed=0
-            ).parameter_count()
+            )
+            sep = sum(p.data.size for p in model.params.values())
             assert sep - shared == cfg.d2 * cfg.d_k
 
     def test_invalid_configs_rejected(self):

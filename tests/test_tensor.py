@@ -356,6 +356,33 @@ def test_segmented_ops_match_each_segment_alone_bitwise(heads, kv_lens):
         assert q.grad[q0:q1].tobytes() == qs.grad.tobytes()
 
 
+@pytest.mark.parametrize("kv_lens", [[6, 255, 1, 256], [6, 6, 6, 6]], ids=["long", "fusion"])
+def test_attention_graphs_alive_together_match_fresh_runs_bitwise(kv_lens):
+    # Attention's scratch buffers belong to each call: with two graphs built
+    # before either backward, and the backwards run in reverse order, neither
+    # graph may read what the other wrote.
+    heads = 4
+    q_bounds, kv_bounds = ([0, *np.cumsum(n).tolist()] for n in ([1, 255, 37, 256], kv_lens))
+    rng = np.random.default_rng(13)
+    rows = (q_bounds[-1], kv_bounds[-1], kv_bounds[-1], q_bounds[-1])
+    cases = [[rng.normal(size=(n, 32)) for n in rows] for _ in range(2)]
+
+    def build(q_arr, k_arr, v_arr, upstream):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q_arr, k_arr, v_arr))
+        out = T.multihead_attention(q, k, v, heads, q_bounds, kv_bounds)
+        return out, (q, k, v), T.sum_all(T.mul(out, Tensor(upstream)))
+
+    graphs = [build(*case) for case in cases]
+    for _out, _leaves, loss in reversed(graphs):
+        loss.backward()
+    for case, (out, leaves, _loss) in zip(cases, graphs):
+        fresh_out, fresh_leaves, fresh_loss = build(*case)
+        fresh_loss.backward()
+        assert out.data.tobytes() == fresh_out.data.tobytes()
+        for got, want in zip(leaves, fresh_leaves):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+
 def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
     # b feeds the loss along two paths, so its gradient must be whole before
     # it is passed on and dropped.
