@@ -14,9 +14,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +33,9 @@ VALUE_PROJECTIONS = ("shared_with_key", "separate")
 FUSION_QUERIES = ("tokens", "stats")
 
 CHECKPOINT_VERSION = 1
+# Parameter values per formatted block of a checkpoint save (a few hundred KiB
+# of text); the save's memory is bounded by a block, not by the largest table.
+_CHECKPOINT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -362,13 +366,49 @@ def _vocab_payload(vocab: Optional[Vocab]):
 
 
 def vocab_fingerprint(vocab: Optional[Vocab]) -> str:
+    """sha256 of the vocabulary's raw UTF-8 JSON. It keeps ensure_ascii=False,
+    apart from the checkpoint file's ASCII encoding, so that the fingerprint
+    stored in every existing checkpoint still matches."""
     payload = json.dumps(_vocab_payload(vocab), sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _dumps(value) -> str:
+    """Compact, key-sorted, pure-ASCII JSON: the checkpoint's one encoding."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _format_block(values: np.ndarray) -> str:
+    """Comma-separated JSON numbers of one block of parameter values."""
+    return _dumps(values.tolist())[1:-1]
+
+
+def _param_chunks(params: Dict[str, Tensor]) -> Iterator[str]:
+    """The "params" object as text, a block of values at a time."""
+    yield "{"
+    for i, name in enumerate(sorted(params)):
+        flat = params[name].data.reshape(-1)
+        yield ("," if i else "") + _dumps(name) + ':{"data":['
+        for start in range(0, flat.size, _CHECKPOINT_BLOCK):
+            yield ("," if start else "") + _format_block(flat[start : start + _CHECKPOINT_BLOCK])
+        yield '],"shape":' + _dumps(list(params[name].shape)) + "}"
+    yield "}"
+
+
 def save_checkpoint(model: FusionModel, path: Union[str, Path]) -> None:
-    """Versioned JSON checkpoint; round-trips parameters bit for bit."""
-    payload = {
+    """Versioned JSON checkpoint; round-trips parameters bit for bit.
+
+    The file is compact, key-sorted JSON in pure ASCII: a non-ASCII
+    vocabulary token is written as ``\\u`` escapes. It is written a
+    parameter block at a time, so memory stays flat however large the
+    embedding table is, into a sibling ``.tmp`` file that then replaces
+    ``path``; a save that fails or is interrupted leaves the previous file
+    as it was. The bytes equal ``json.dumps`` of the whole payload with
+    ``sort_keys=True`` and ``separators=(",", ":")``. load_checkpoint reads
+    any JSON spelling of the same payload, so version-1 files written in raw
+    UTF-8 still load."""
+    path = Path(path)
+    head = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "vocab": _vocab_payload(model.vocab),
@@ -381,13 +421,22 @@ def save_checkpoint(model: FusionModel, path: Union[str, Path]) -> None:
                 "std": model.normalizer.std.tolist(),
             }
         ),
-        "params": {
-            name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-            for name, t in model.params.items()
-        },
     }
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    Path(path).write_bytes(text.encode("utf-8"))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write("{")
+            for i, key in enumerate(sorted([*head, "params"])):
+                fh.write(("," if i else "") + _dumps(key) + ":")
+                if key == "params":
+                    fh.writelines(_param_chunks(model.params))
+                else:
+                    fh.write(_dumps(head[key]))
+            fh.write("}")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _mismatch(what: str, got, expected) -> DataFormatError:

@@ -158,7 +158,9 @@ def train_from_records(
     records: List[UserRecord], config: RunConfig
 ) -> PipelineResult:
     """Split, fit the vocabulary and normalizer on the training slice only,
-    train, and evaluate on the validation slice."""
+    train, and evaluate on the validation slice: the report is the one
+    training took of the parameters it returns, scored afresh only when no
+    epoch ran."""
     if not records:
         raise ConfigError("no valid records in the corpus")
     train_records, val_records = split_dataset(
@@ -189,7 +191,7 @@ def train_from_records(
         normalizer=normalizer,
     )
     model, history = train(model, train_set, val_set, config.train_config())
-    report = evaluate(model, val_set)
+    report = history.report if history.report is not None else evaluate(model, val_set)
     return PipelineResult(
         model=model,
         history=history,

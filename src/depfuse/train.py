@@ -86,6 +86,9 @@ class EpochStats:
 @dataclass
 class TrainHistory:
     epochs: List[EpochStats] = field(default_factory=list)
+    # Validation report of the parameters train returns: the last epoch's,
+    # or the restored best epoch's. None when no epoch ran.
+    report: Optional[MetricsReport] = None
 
 
 def cross_entropy_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
@@ -246,7 +249,8 @@ def train(
 ) -> Tuple[FusionModel, TrainHistory]:
     """Seeded mini-batch training. With early_stop_patience > 0 the model is
     rolled back to the best-validation-accuracy epoch; otherwise the final
-    parameters are returned. Fully deterministic for a fixed seed."""
+    parameters are returned. ``history.report`` is the validation report of
+    the returned parameters. Fully deterministic for a fixed seed."""
     config.validate()
     if not train_set:
         raise ConfigError("training set is empty")
@@ -261,6 +265,7 @@ def train(
     state = AdamState.for_params(model.params)
     best_accuracy = -1.0
     best_params: Optional[Dict[str, np.ndarray]] = None
+    best_report: Optional[MetricsReport] = None
     epochs_since_best = 0
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -275,7 +280,7 @@ def train(
             adam_step(model.params, state, config)
             loss_sum += loss.item() * len(batch)
             model.zero_grad()
-        report = evaluate(model, val_set)
+        report = history.report = evaluate(model, val_set)
         history.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -289,6 +294,7 @@ def train(
             if report.accuracy > best_accuracy:
                 best_accuracy = report.accuracy
                 best_params = model.copy_params()
+                best_report = report
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1
@@ -296,6 +302,7 @@ def train(
                     break
     if config.early_stop_patience > 0 and best_params is not None:
         model.set_params(best_params)
+        history.report = best_report
     return model, history
 
 

@@ -1,10 +1,12 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import oracles
+from depfuse import model as model_module
 from depfuse.errors import ConfigError, DataFormatError, DimensionError, UsageError
 from depfuse.features import FeatureNormalizer
 from depfuse.model import (
@@ -400,6 +402,23 @@ def test_refine_graph_memory_after_forward_and_backward():
     assert after_backward < 44 * mib, after_backward / mib
 
 
+def test_checkpoint_save_memory_is_bounded_by_a_block(tmp_path):
+    # A 25,000 x 32 embedding is 6.1 MiB of float64 and 18 MB of JSON text.
+    # Building the whole file in memory, as a list of Python floats, a string
+    # and then its bytes, peaked at 109 MiB; streamed it is about 5 MiB.
+    tokens = {f"w{i:05d}": i for i in range(4, 24_999)}
+    tokens["很"] = 24_999
+    vocab = Vocab(token_to_id=tokens, min_freq=1)
+    model = init_params(ModelConfig(vocab_size=25_000), seed=3, vocab=vocab)
+    tracemalloc.start()
+    try:
+        save_checkpoint(model, tmp_path / "big.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * (1 << 20), peak / (1 << 20)
+
+
 class TestFullModelGradients:
     @pytest.mark.parametrize("fusion", ["cross_attention", "concat"])
     @pytest.mark.parametrize("value_projection", ["shared_with_key", "separate"])
@@ -435,9 +454,33 @@ class TestFullModelGradients:
                 assert err <= 1e-4, f"{name}[{i}]"
 
 
+def checkpoint_payload(model):
+    """The whole checkpoint as one JSON value, built at once: the reference
+    that the streamed file is compared against."""
+    return {
+        "version": 1,
+        "config": asdict(model.config),
+        "vocab": {"min_freq": model.vocab.min_freq, "tokens": model.vocab.token_to_id},
+        "vocab_sha256": vocab_fingerprint(model.vocab),
+        "normalizer": {
+            "mean": model.normalizer.mean.tolist(),
+            "std": model.normalizer.std.tolist(),
+        },
+        "params": {
+            name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
+            for name, t in model.params.items()
+        },
+    }
+
+
+# A CJK character, a Greek word and a character outside the BMP, which JSON
+# escapes as a surrogate pair.
+MIXED_SCRIPT_VOCAB = Vocab(token_to_id={"hello": 4, "很": 5, "λόγος": 6, "𝄞": 7}, min_freq=1)
+
+
 class TestCheckpoint:
-    def build(self, tmp_path, **overrides):
-        vocab = Vocab(token_to_id={"hello": 4, "很": 5}, min_freq=1)
+    def build(self, tmp_path, vocab=None, **overrides):
+        vocab = vocab or Vocab(token_to_id={"hello": 4, "很": 5}, min_freq=1)
         normalizer = FeatureNormalizer(
             mean=np.linspace(0, 1, 6), std=np.linspace(1, 2, 6)
         )
@@ -447,6 +490,60 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         return model, path
+
+    def assert_same_params(self, loaded, model):
+        assert loaded.config == model.config
+        assert loaded.vocab == model.vocab
+        for name in model.params:
+            assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"refine_layers": 2},
+            {"fusion_query": "stats", "value_projection": "separate", "outer_relu": True},
+            {"fusion": "concat"},
+        ],
+    )
+    def test_streamed_bytes_match_one_shot_ascii_json(self, tmp_path, overrides):
+        block = model_module._CHECKPOINT_BLOCK
+        vocab_size = block // 4 + 3  # d1 = 4: more than one block, not a multiple
+        assert vocab_size * 4 > block and vocab_size * 4 % block
+        model, path = self.build(
+            tmp_path, vocab=MIXED_SCRIPT_VOCAB, vocab_size=vocab_size, **overrides
+        )
+        reference = json.dumps(checkpoint_payload(model), sort_keys=True, separators=(",", ":"))
+        assert path.read_bytes() == reference.encode("ascii")
+        self.assert_same_params(load_checkpoint(path), model)
+
+    def test_raw_utf8_checkpoint_still_loads(self, tmp_path):
+        model, path = self.build(tmp_path, vocab=MIXED_SCRIPT_VOCAB)
+        raw = json.dumps(
+            checkpoint_payload(model), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        )
+        path.write_bytes(raw.encode("utf-8"))
+        self.assert_same_params(load_checkpoint(path), model)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch, error):
+        _, path = self.build(tmp_path)
+        before = path.read_bytes()
+        other = init_params(small_config(), seed=14, vocab=MIXED_SCRIPT_VOCAB)
+        original = model_module._format_block
+        blocks = []
+
+        def failing(values):
+            if blocks:
+                raise error("stopped mid-save")
+            blocks.append(values)
+            return original(values)
+
+        monkeypatch.setattr(model_module, "_format_block", failing)
+        with pytest.raises(error):
+            save_checkpoint(other, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     def test_round_trip_bit_identical(self, tmp_path):
         model, path = self.build(tmp_path)

@@ -243,6 +243,31 @@ class TestTrainLoop:
         best = max(e.val_accuracy for e in history.epochs)
         assert evaluate(model, val).accuracy == pytest.approx(best)
 
+    def test_kept_report_is_that_of_the_restored_epoch(self):
+        vocab, normalizer, tr, val = tiny_dataset(n_per_class=10)
+        config = TrainConfig(epochs=5, seed=2, early_stop_patience=5, learning_rate=3e-2)
+        model, history = train(tiny_model(vocab, normalizer, seed=2), tr, val, config)
+        # The best epoch is an earlier one, and the last epoch scored worse.
+        assert history.epochs[-1].val_accuracy < history.report.accuracy
+        assert history.report == evaluate(model, val)
+
+    def test_pipeline_scores_validation_only_in_training(self, monkeypatch):
+        records = generate_dataset(SynthDatasetSpec(n_per_class=4, seed=3))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        for module in ("depfuse.pipeline", "depfuse.train"):
+            monkeypatch.setattr(importlib.import_module(module), "evaluate", counting)
+        for epochs in (0, 2):
+            calls.clear()
+            pipeline.train_from_records(
+                records, pipeline.RunConfig(epochs=epochs, max_len=16, d1=4)
+            )
+            assert len(calls) == max(epochs, 1)
+
 
 class TestEvaluate:
     def constant_class_one_model(self, vocab, normalizer):
