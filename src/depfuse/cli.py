@@ -291,7 +291,7 @@ def cmd_predict(config: RunConfig, opts: VerbOptions) -> int:
 
 
 def cmd_ablate(config: RunConfig, opts: VerbOptions) -> int:
-    results = run_ablation(config)
+    results = run_ablation(config, _report_issues)
     width = max(len(name) for name, _ in results)
     print(f"{'variant':<{width}}  accuracy  precision  recall    f1")
     for name, rep in results:

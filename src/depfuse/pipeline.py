@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .corpus import (
     ParseIssue,
@@ -249,14 +249,19 @@ def ablation_variants(config: RunConfig) -> List[Tuple[str, RunConfig]]:
     return variants
 
 
-def run_ablation(config: RunConfig) -> List[Tuple[str, MetricsReport]]:
-    """Run all ablation variants and write a summary CSV next to them."""
+def run_ablation(
+    config: RunConfig, report_issues: Optional[Callable[[List[ParseIssue]], None]] = None
+) -> List[Tuple[str, MetricsReport]]:
+    """Run all ablation variants and write a summary CSV next to them. The
+    corpus's parse issues go to ``report_issues``, once, before any training."""
     variants = ablation_variants(config)
     for _name, variant in variants:
         variant.validate()
     for _name, variant in variants:
         variant.make_out_dir()
-    records, _issues = load_corpus(config.corpus)
+    records, issues = load_corpus(config.corpus)
+    if report_issues is not None:
+        report_issues(issues)
     results: List[Tuple[str, MetricsReport]] = []
     for name, variant in variants:
         result = train_from_records(records, variant)

@@ -17,14 +17,20 @@ results are checked for NaN/Inf on every operation. Recorded tensors must
 not be mutated in place while their graph is alive; the optimizer mutates
 leaf parameters only between passes.
 
-A graph keeps only what its backward needs. After forward it holds each
-node's value and the arrays its backward closure reads; attention keeps no
-probability matrix, only each (segment, head) pair's softmax row max and
-row sum, and recomputes the matrix from them in backward. Forward and
-backward each compute those matrices in scratch blocks that belong to the
-call and are reused from pair to pair. After backward a graph also holds
-the leaves' gradients: each interior node's gradient is dropped as soon as
-it has been passed on to the node's parents.
+A graph keeps only what its backward reads. The record of an op is a Node:
+its gradient, its parents' nodes and its backward closure. A Tensor holds
+its value and its node, and the node holds no value. Each closure captures
+its inputs' nodes and exactly the arrays its backward reads: matmul both
+operands, relu its mask, layernorm_rows xhat, inv and the gain, add no
+array at all. So an op output that no backward reads is freed as soon as
+the caller drops its Tensor, during forward, and a spent graph holds only
+the closures' arrays. Attention keeps no probability matrix, only its
+per-head copies of q, k and v and each (segment, head) pair's softmax row
+max and row sum, and recomputes the matrix from them in backward. Forward
+and backward each compute those matrices in scratch blocks that belong to
+the call and are reused from pair to pair. After backward a graph also
+holds the leaves' gradients: each interior node's gradient is dropped as
+soon as it has been passed on to the node's parents.
 """
 
 from __future__ import annotations
@@ -37,28 +43,64 @@ from .errors import DimensionError, NumericalError, UsageError
 
 Shape = Tuple[int, int]
 Bounds = Optional[Sequence[int]]
+Backward = Callable[[np.ndarray], None]
+
+
+class Node:
+    """One gradient-tracked leaf or recorded op in a graph: its gradient, the
+    nodes of its tracked inputs and the closure that passes a gradient on to
+    them. It holds no value."""
+
+    __slots__ = ("grad", "parents", "backward", "consumed")
+
+    def __init__(self, parents: Tuple["Node", ...] = (), backward: Optional[Backward] = None):
+        self.grad: Optional[np.ndarray] = None
+        self.parents = parents
+        self.backward = backward
+        self.consumed = False
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
+    """A 2-D float64 value and its graph node; the node is None when the
+    tensor is untracked. A leaf made with requires_grad=True gets its node
+    here, and an op's output gets one when any of its inputs has one."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise DimensionError(f"tensors are 2-D; got array of shape {arr.shape}")
         self.data = arr
-        self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
-        self._parents: Tuple[Tensor, ...] = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._consumed = False
+        self._node: Optional[Node] = Node() if requires_grad else None
 
     @property
     def shape(self) -> Shape:
         return self.data.shape  # type: ignore[return-value]
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        if self._node is None:
+            raise UsageError("grad is set only on gradient-tracked tensors")
+        self._node.grad = value
+
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def item(self) -> float:
         if self.shape != (1, 1):
@@ -68,28 +110,25 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
-
     def backward(self) -> None:
         """Populate grad = d(self)/d(leaf) for every requires_grad leaf
-        reachable from this scalar node. One shot per graph. An interior
+        reachable from this scalar tensor. One shot per graph. An interior
         node's gradient is dropped once its backward has passed it on to
-        its parents, so a spent graph holds no gradient but the leaves'."""
+        its parents, so a spent graph holds no gradient but the leaves'; it
+        keeps its closures and the arrays they read until the caller drops
+        the root."""
         if self.shape != (1, 1):
             raise UsageError(f"backward requires a 1x1 loss tensor, got {self.shape}")
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise UsageError("backward on a graph with no gradient-tracked tensors")
-        if self._consumed:
+        if root.consumed:
             raise UsageError("backward already ran on this graph; rebuild the forward pass")
-        self._consumed = True
+        root.consumed = True
         # Iterative post-order DFS (reverse topological order for the sweep).
-        order: List[Tensor] = []
+        order: List[Node] = []
         seen = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
+        stack: List[Tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -99,14 +138,14 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.ones((1, 1)))
+        root.accumulate(np.ones((1, 1)))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            if node._parents:
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
+            if node.parents:
                 node.grad = None
 
 
@@ -114,20 +153,16 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
-def _node(
-    op: str,
-    data: np.ndarray,
-    inputs: Sequence[Tensor],
-    backward: Optional[Callable[[np.ndarray], None]],
-) -> Tensor:
+def _node(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward: Backward) -> Tensor:
+    """The op's output; it records a node when any input is tracked. The
+    backward closure must capture input nodes and arrays, never an input
+    Tensor, so that the node keeps no value its backward does not read."""
     if not np.isfinite(data).all():
         raise NumericalError(f"{op} produced a non-finite value")
     out = Tensor(data)
-    parents = tuple(t for t in inputs if t.requires_grad)
+    parents = tuple(t._node for t in inputs if t._node is not None)
     if parents:
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._node = Node(parents, backward)
     return out
 
 
@@ -162,52 +197,52 @@ def _segments(bounds: Bounds, rows: int, what: str) -> List[Tuple[int, int]]:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    na, nb, x, w = a._node, b._node, a.data, b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        if na is not None:
+            na.accumulate(g @ w.T)
+        if nb is not None:
+            nb.accumulate(x.T @ g)
 
-    return _node("matmul", data, (a, b), backward)
+    return _node("matmul", x @ w, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; a 1xC row broadcasts against RxC (either side)."""
     if not _broadcastable(a.shape, b.shape):
         raise DimensionError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    data = a.data + b.data
+    na, nb, a_shape, b_shape = a._node, b._node, a.shape, b.shape
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g, b.shape))
+        if na is not None:
+            na.accumulate(_reduce_to(g, a_shape))
+        if nb is not None:
+            nb.accumulate(_reduce_to(g, b_shape))
 
-    return _node("add", data, (a, b), backward)
+    return _node("add", a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with the same row/column broadcasting as add."""
     if not _broadcastable(a.shape, b.shape):
         raise DimensionError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-    data = a.data * b.data
+    na, nb, x, y = a._node, b._node, a.data, b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_reduce_to(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to(g * a.data, b.shape))
+        if na is not None:
+            na.accumulate(_reduce_to(g * y, x.shape))
+        if nb is not None:
+            nb.accumulate(_reduce_to(g * x, y.shape))
 
-    return _node("mul", data, (a, b), backward)
+    return _node("mul", x * y, (a, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    node, mask = a._node, a.data > 0
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * mask)
+        node.accumulate(g * mask)
 
     return _node("relu", np.where(mask, a.data, 0.0), (a,), backward)
 
@@ -217,17 +252,20 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
+    node = a._node
 
     def backward(g: np.ndarray) -> None:
         inner = (g * s).sum(axis=1, keepdims=True)
-        a._accumulate(s * (g - inner))
+        node.accumulate(s * (g - inner))
 
     return _node("softmax_rows", s, (a,), backward)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
+    node = a._node
+
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * factor)
+        node.accumulate(g * factor)
 
     return _node("scale", a.data * factor, (a,), backward)
 
@@ -237,9 +275,10 @@ def scale_rows(a: Tensor, factors: np.ndarray) -> Tensor:
     col = np.asarray(factors, dtype=np.float64).reshape(-1, 1)
     if col.shape[0] != a.shape[0]:
         raise DimensionError(f"scale_rows: {col.shape[0]} factors for shape {a.shape}")
+    node = a._node
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * col)
+        node.accumulate(g * col)
 
     return _node("scale_rows", a.data * col, (a,), backward)
 
@@ -252,32 +291,33 @@ def mean_rows(a: Tensor, bounds: Bounds = None) -> Tensor:
     for i, (start, stop) in enumerate(segs):
         data[i] = a.data[start:stop].mean(axis=0)
     counts = np.array([stop - start for start, stop in segs])
+    node = a._node
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.repeat(g / counts[:, None], counts, axis=0))
+        node.accumulate(np.repeat(g / counts[:, None], counts, axis=0))
 
     return _node("mean_rows", data, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    data = np.array([[a.data.sum()]])
+    node, shape = a._node, a.shape
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.full(a.shape, g[0, 0]))
+        node.accumulate(np.full(shape, g[0, 0]))
 
-    return _node("sum_all", data, (a,), backward)
+    return _node("sum_all", np.array([[a.data.sum()]]), (a,), backward)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0]:
         raise DimensionError(f"concat_cols: row counts differ, {a.shape} vs {b.shape}")
-    split = a.shape[1]
+    na, nb, split = a._node, b._node, a.shape[1]
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g[:, :split])
-        if b.requires_grad:
-            b._accumulate(g[:, split:])
+        if na is not None:
+            na.accumulate(g[:, :split])
+        if nb is not None:
+            nb.accumulate(g[:, split:])
 
     return _node("concat_cols", np.hstack([a.data, b.data]), (a, b), backward)
 
@@ -292,23 +332,25 @@ def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
             raise DimensionError(
                 f"stack_rows: column counts differ, {tensors[0].shape} vs {t.shape}"
             )
-    offsets = []
+    parts = []  # (node, first row, stop row) of each tracked input
     row = 0
     for t in tensors:
-        offsets.append(row)
+        if t._node is not None:
+            parts.append((t._node, row, row + t.shape[0]))
         row += t.shape[0]
 
     def backward(g: np.ndarray) -> None:
-        for t, start in zip(tensors, offsets):
-            if t.requires_grad:
-                t._accumulate(g[start : start + t.shape[0]])
+        for node, start, stop in parts:
+            node.accumulate(g[start:stop])
 
     return _node("stack_rows", np.vstack([t.data for t in tensors]), tuple(tensors), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
+    node = a._node
+
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g.T)
+        node.accumulate(g.T)
 
     return _node("transpose", a.data.T.copy(), (a,), backward)
 
@@ -316,11 +358,12 @@ def transpose(a: Tensor) -> Tensor:
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= a.shape[0]):
         raise DimensionError(f"slice_rows: [{start}:{stop}] out of range for {a.shape}")
+    node, shape = a._node, a.shape
 
     def backward(g: np.ndarray) -> None:
-        buf = np.zeros(a.shape)
+        buf = np.zeros(shape)
         buf[start:stop] = g
-        a._accumulate(buf)
+        node.accumulate(buf)
 
     return _node("slice_rows", a.data[start:stop].copy(), (a,), backward)
 
@@ -328,11 +371,12 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= a.shape[1]):
         raise DimensionError(f"slice_cols: [{start}:{stop}] out of range for {a.shape}")
+    node, shape = a._node, a.shape
 
     def backward(g: np.ndarray) -> None:
-        buf = np.zeros(a.shape)
+        buf = np.zeros(shape)
         buf[:, start:stop] = g
-        a._accumulate(buf)
+        node.accumulate(buf)
 
     return _node("slice_cols", a.data[:, start:stop].copy(), (a,), backward)
 
@@ -346,6 +390,7 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise UsageError(
             f"gather_rows: id out of range [0, {table.shape[0]}): {int(idx.min())}..{int(idx.max())}"
         )
+    node, shape = table._node, table.shape
 
     def backward(g: np.ndarray) -> None:
         # Row-sparse: sum the gradient of each distinct id, then add only
@@ -357,11 +402,11 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         flat = (inv[:, None] * cols + np.arange(cols)).reshape(-1)
         sums = np.bincount(flat, weights=g.reshape(-1), minlength=rows.size * cols)
         sums = sums.reshape(rows.size, cols)
-        if table.grad is None:
-            table.grad = np.zeros(table.shape)
-            table.grad[rows] = sums
+        if node.grad is None:
+            node.grad = np.zeros(shape)
+            node.grad[rows] = sums
         else:
-            table.grad[rows] += sums
+            node.grad[rows] += sums
 
     return _node("gather_rows", table.data[idx], (table,), backward)
 
@@ -372,9 +417,10 @@ def fold_rows(a: Tensor, rows: int) -> Tensor:
     r, c = a.shape
     if rows < 1 or r % rows != 0:
         raise DimensionError(f"fold_rows: runs of {rows} rows do not tile shape {a.shape}")
+    node = a._node
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g.reshape(r, c))
+        node.accumulate(g.reshape(r, c))
 
     return _node("fold_rows", a.data.reshape(r // rows, rows * c).copy(), (a,), backward)
 
@@ -463,6 +509,7 @@ def multihead_attention(
     scratch = np.empty(biggest)
     # Scoring records no graph, so it keeps no per-segment intermediates.
     track = q.requires_grad or k.requires_grad or v.requires_grad
+    inputs = ((q._node, q.shape), (k._node, k.shape), (v._node, v.shape))
     saved = []
     data = np.empty((q.shape[0], v.shape[1]))
     for (q0, q1), (k0, k1) in zip(q_segs, kv_segs):
@@ -476,7 +523,7 @@ def multihead_attention(
                 saved.append((q0, q1, k0, k1, c, cv, qh, kt, vh, stats))
 
     def backward(g: np.ndarray) -> None:
-        gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        gq, gk, gv = (np.empty(shape) for _, shape in inputs)
         work = np.empty((3, biggest))
         for q0, q1, k0, k1, c, cv, qh, kt, vh, stats in saved:
             rows, keys = q1 - q0, k1 - k0
@@ -490,9 +537,9 @@ def multihead_attention(
             gw *= factor
             gq[q0:q1, c] = gw @ kt.T
             gk[k0:k1, c] = (qh.T @ gw).T
-        for t, gt in ((q, gq), (k, gk), (v, gv)):
-            if t.requires_grad:
-                t._accumulate(gt)
+        for (node, _), gt in zip(inputs, (gq, gk, gv)):
+            if node is not None:
+                node.accumulate(gt)
 
     return _node("multihead_attention", data, (q, k, v), backward)
 
@@ -509,15 +556,16 @@ def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> 
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
+    nx, ngain, nbias, gamma = x._node, gain._node, bias._node, gain.data
 
     def backward(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).sum(axis=0, keepdims=True))
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            gh = g * gain.data
+        if ngain is not None:
+            ngain.accumulate((g * xhat).sum(axis=0, keepdims=True))
+        if nbias is not None:
+            nbias.accumulate(g.sum(axis=0, keepdims=True))
+        if nx is not None:
+            gh = g * gamma
             term = gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True)
-            x._accumulate(inv * term)
+            nx.accumulate(inv * term)
 
     return _node("layernorm_rows", data, (x, gain, bias), backward)

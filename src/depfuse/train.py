@@ -108,11 +108,12 @@ def cross_entropy_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
     rows = np.arange(label_arr.shape[0])
     losses = lse[:, 0] - z[rows, label_arr]
     softmax = np.exp(z - lse)
+    node = logits._node
 
     def backward(g: np.ndarray) -> None:
-        onehot = np.zeros_like(z)
+        onehot = np.zeros_like(softmax)
         onehot[rows, label_arr] = 1.0
-        logits._accumulate(g[0, 0] * (softmax - onehot) / label_arr.shape[0])
+        node.accumulate(g[0, 0] * (softmax - onehot) / label_arr.shape[0])
 
     return T._node("cross_entropy", np.array([[losses.mean()]]), (logits,), backward)
 

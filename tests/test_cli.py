@@ -293,6 +293,16 @@ class TestAblate:
         assert len(summary) == 5 and summary[0] == "variant,accuracy,precision,recall,f1"
         assert len(capsys.readouterr().out.strip().split("\n")) == 6
 
+    def test_parse_issues_reported(self, corpus, tmp_path, capsys):
+        dirty = tmp_path / "dirty.jsonl"
+        dirty.write_bytes(corpus.read_bytes() + b"not json\n")
+        args = ["ablate", "--corpus", str(dirty), "--out-dir", str(tmp_path / "ablation"),
+                "--seed", "7", "--epochs", "1", "--max-len", "32", "--d1", "8", "--d2", "8",
+                "--d-k", "8", "--mlp-hidden", "8", "--refine-heads", "2"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert err.count("parse issue: line 41: invalid JSON: Expecting value") == 1, err
+
     def test_missing_corpus_exit_2(self, tmp_path):
         args = ["ablate", "--corpus", str(tmp_path / "nope.jsonl"), "--out-dir", str(tmp_path)]
         assert main(args) == 2

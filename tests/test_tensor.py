@@ -1,5 +1,6 @@
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -401,6 +402,31 @@ def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
     upstream = (2.0 * np.maximum(x.data @ w.data + const.data, 0.0) + 3.0) * mask
     np.testing.assert_allclose(x.grad, upstream @ w.data.T, rtol=1e-12)
     np.testing.assert_allclose(w.grad, x.data.T @ upstream, rtol=1e-12)
+
+
+def test_graph_holds_only_what_backward_reads():
+    # relu's backward reads its mask, so a pre-activation that only relu
+    # consumes is freed once the caller drops it, and so is a matmul output
+    # that only sum_all reads. The operands a matmul backward reads stay
+    # alive in the graph until backward, and go with the graph.
+    rng = np.random.default_rng(9)
+    x, w1, w2 = leaf(rng, 4, 3), leaf(rng, 3, 5), leaf(rng, 5, 2)
+    pre = T.matmul(x, w1)
+    hidden = T.relu(pre)
+    pre_data = weakref.ref(pre.data)
+    del pre
+    assert pre_data() is None
+    out = T.matmul(hidden, w2)
+    loss = T.sum_all(out)
+    out_data, hidden_data = weakref.ref(out.data), weakref.ref(hidden.data)
+    want = hidden.data.T @ np.ones((4, 2))
+    del out, hidden
+    assert out_data() is None
+    assert hidden_data() is not None
+    loss.backward()
+    np.testing.assert_array_equal(w2.grad, want)
+    del loss
+    assert hidden_data() is None
 
 
 def test_fold_rows_is_row_major():

@@ -5,6 +5,7 @@ checks that each name still exists."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -28,3 +29,19 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module(f"depfuse.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_tensor_backward_is_a_plain_function_on_the_class():
+    # install() also rebinds depfuse.tensor.Tensor.backward on the class, and
+    # uninstall() puts the original back.
+    from depfuse.tensor import Tensor
+
+    original = vars(Tensor).get("backward")
+    assert inspect.isfunction(original)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert Tensor.backward is not original
+    finally:
+        tracer.uninstall()
+    assert vars(Tensor)["backward"] is original

@@ -320,7 +320,7 @@ class TestEvaluate:
         assert seen
         for logits in seen:
             assert not logits.requires_grad
-            assert logits._parents == ()
+            assert logits._node is None
         assert all(p.grad is None for p in model.params.values())
         assert got.tobytes() == want.tobytes()
 
