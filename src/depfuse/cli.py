@@ -28,6 +28,8 @@ from dataclasses import Field, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .corpus import (
     ParseIssue,
     SplitSpec,
@@ -346,7 +348,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(*settings(args))
+        # The per-op finite checks report an overflow or NaN as NumericalError
+        # (exit 4), so numpy's own warnings would only repeat it on stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(*settings(args))
     except (ConfigError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -448,7 +448,7 @@ def _mismatch(what: str, got, expected) -> DataFormatError:
 def _finite_array(value, shape: Tuple[int, ...], what: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past float range
         raise DataFormatError(f"checkpoint {what} is malformed: {exc!r}") from None
     if arr.shape != shape:
         raise DataFormatError(f"checkpoint {what}: shape {arr.shape}, expected {shape}")
@@ -512,7 +512,10 @@ def load_checkpoint(path: Union[str, Path]) -> FusionModel:
     at the first forward pass."""
     try:
         payload = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Invalid UTF-8 or JSON, and valid JSON past the decoder's limits: an
+        # integer literal longer than int's digit limit, or nesting deeper
+        # than the recursion limit.
         raise DataFormatError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataFormatError(f"checkpoint {path} is not a JSON object")
@@ -525,10 +528,17 @@ def load_checkpoint(path: Union[str, Path]) -> FusionModel:
     if payload.get("vocab_sha256") != vocab_fingerprint(vocab):
         raise DataFormatError(f"checkpoint {path}: vocabulary hash mismatch")
     normalizer = _normalizer_from(payload.get("normalizer"))
-    expected = _expected_shapes(config)
     raw_params = payload.get("params")
     if not isinstance(raw_params, dict):
         raise DataFormatError("checkpoint params is not a JSON object")
+    # Listing the expected names takes a loop per refinement block, so a
+    # block count the params cannot hold is refused before that loop.
+    if config.refine_layers > len(raw_params):
+        raise DataFormatError(
+            f"checkpoint config refine_layers {config.refine_layers} does not match"
+            f" its {len(raw_params)} parameters"
+        )
+    expected = _expected_shapes(config)
     if set(raw_params) != set(expected):
         raise _mismatch("parameters", raw_params, expected)
     params: Dict[str, Tensor] = {}

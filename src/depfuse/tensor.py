@@ -23,14 +23,22 @@ its value and its node, and the node holds no value. Each closure captures
 its inputs' nodes and exactly the arrays its backward reads: matmul both
 operands, relu its mask, layernorm_rows xhat, inv and the gain, add no
 array at all. So an op output that no backward reads is freed as soon as
-the caller drops its Tensor, during forward, and a spent graph holds only
-the closures' arrays. Attention keeps no probability matrix, only its
-per-head copies of q, k and v and each (segment, head) pair's softmax row
-max and row sum, and recomputes the matrix from them in backward. Forward
-and backward each compute those matrices in scratch blocks that belong to
-the call and are reused from pair to pair. After backward a graph also
-holds the leaves' gradients: each interior node's gradient is dropped as
-soon as it has been passed on to the node's parents.
+the caller drops its Tensor, during forward. Attention keeps no probability
+matrix, only its per-head copies of q, k and v and each (segment, head)
+pair's softmax row max and row sum, and recomputes the matrix from them in
+backward. Forward and backward each compute those matrices in scratch
+blocks that belong to the call and are reused from pair to pair.
+
+Backward frees the graph as it consumes it, as PyTorch's autograd does
+without retain_graph (Paszke et al. 2019, arXiv 1912.01703). Once a node
+has passed its gradient on to its parents, it is released: its gradient,
+its closure with the arrays the closure read, and its parent links are
+dropped. So a spent graph holds nothing but the leaves' gradients, even
+while the caller still holds its root, and a later backward that reaches a
+released node raises UsageError. A gradient that an op has just computed
+becomes its parent's first gradient without a copy; one that aliases the
+upstream gradient (add's pass-through, the views that concat_cols,
+stack_rows, fold_rows and transpose pass on) is copied.
 """
 
 from __future__ import annotations
@@ -51,17 +59,21 @@ class Node:
     nodes of its tracked inputs and the closure that passes a gradient on to
     them. It holds no value."""
 
-    __slots__ = ("grad", "parents", "backward", "consumed")
+    __slots__ = ("grad", "parents", "backward", "released")
 
     def __init__(self, parents: Tuple["Node", ...] = (), backward: Optional[Backward] = None):
         self.grad: Optional[np.ndarray] = None
         self.parents = parents
         self.backward = backward
-        self.consumed = False
+        self.released = False
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g into the gradient. A first gradient is kept as it is when
+        ``fresh`` says the op has just computed g and nothing else holds it;
+        any other one is copied, because later gradients add into it in
+        place."""
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if fresh else g.copy()
         else:
             self.grad += g
 
@@ -112,19 +124,18 @@ class Tensor:
 
     def backward(self) -> None:
         """Populate grad = d(self)/d(leaf) for every requires_grad leaf
-        reachable from this scalar tensor. One shot per graph. An interior
-        node's gradient is dropped once its backward has passed it on to
-        its parents, so a spent graph holds no gradient but the leaves'; it
-        keeps its closures and the arrays they read until the caller drops
-        the root."""
+        reachable from this scalar tensor. One shot per graph: each interior
+        node is released once its backward has passed its gradient on to its
+        parents. Its gradient, its closure (and the arrays the closure read)
+        and its parent links are dropped then, so memory falls as backward
+        runs and a spent graph holds nothing but the leaves' gradients. A
+        backward that reaches a released node raises UsageError before it
+        changes any gradient."""
         if self.shape != (1, 1):
             raise UsageError(f"backward requires a 1x1 loss tensor, got {self.shape}")
         root = self._node
         if root is None:
             raise UsageError("backward on a graph with no gradient-tracked tensors")
-        if root.consumed:
-            raise UsageError("backward already ran on this graph; rebuild the forward pass")
-        root.consumed = True
         # Iterative post-order DFS (reverse topological order for the sweep).
         order: List[Node] = []
         seen = set()
@@ -136,17 +147,22 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.released:
+                raise UsageError("backward already ran on this graph; rebuild the forward pass")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node.parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        root.accumulate(np.ones((1, 1)))
+        root.accumulate(np.ones((1, 1)), fresh=True)
         for node in reversed(order):
-            if node.backward is not None and node.grad is not None:
+            if not node.parents:
+                continue
+            if node.grad is not None:
                 node.backward(node.grad)
-            if node.parents:
-                node.grad = None
+            node.grad = node.backward = None
+            node.parents = ()
+            node.released = True
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -201,9 +217,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if na is not None:
-            na.accumulate(g @ w.T)
+            na.accumulate(g @ w.T, fresh=True)
         if nb is not None:
-            nb.accumulate(x.T @ g)
+            nb.accumulate(x.T @ g, fresh=True)
 
     return _node("matmul", x @ w, (a, b), backward)
 
@@ -231,9 +247,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if na is not None:
-            na.accumulate(_reduce_to(g * y, x.shape))
+            na.accumulate(_reduce_to(g * y, x.shape), fresh=True)
         if nb is not None:
-            nb.accumulate(_reduce_to(g * x, y.shape))
+            nb.accumulate(_reduce_to(g * x, y.shape), fresh=True)
 
     return _node("mul", x * y, (a, b), backward)
 
@@ -242,7 +258,7 @@ def relu(a: Tensor) -> Tensor:
     node, mask = a._node, a.data > 0
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(g * mask)
+        node.accumulate(g * mask, fresh=True)
 
     return _node("relu", np.where(mask, a.data, 0.0), (a,), backward)
 
@@ -256,7 +272,7 @@ def softmax_rows(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         inner = (g * s).sum(axis=1, keepdims=True)
-        node.accumulate(s * (g - inner))
+        node.accumulate(s * (g - inner), fresh=True)
 
     return _node("softmax_rows", s, (a,), backward)
 
@@ -265,7 +281,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     node = a._node
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(g * factor)
+        node.accumulate(g * factor, fresh=True)
 
     return _node("scale", a.data * factor, (a,), backward)
 
@@ -278,7 +294,7 @@ def scale_rows(a: Tensor, factors: np.ndarray) -> Tensor:
     node = a._node
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(g * col)
+        node.accumulate(g * col, fresh=True)
 
     return _node("scale_rows", a.data * col, (a,), backward)
 
@@ -294,7 +310,7 @@ def mean_rows(a: Tensor, bounds: Bounds = None) -> Tensor:
     node = a._node
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(np.repeat(g / counts[:, None], counts, axis=0))
+        node.accumulate(np.repeat(g / counts[:, None], counts, axis=0), fresh=True)
 
     return _node("mean_rows", data, (a,), backward)
 
@@ -303,7 +319,7 @@ def sum_all(a: Tensor) -> Tensor:
     node, shape = a._node, a.shape
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(np.full(shape, g[0, 0]))
+        node.accumulate(np.full(shape, g[0, 0]), fresh=True)
 
     return _node("sum_all", np.array([[a.data.sum()]]), (a,), backward)
 
@@ -363,7 +379,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         buf = np.zeros(shape)
         buf[start:stop] = g
-        node.accumulate(buf)
+        node.accumulate(buf, fresh=True)
 
     return _node("slice_rows", a.data[start:stop].copy(), (a,), backward)
 
@@ -376,7 +392,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         buf = np.zeros(shape)
         buf[:, start:stop] = g
-        node.accumulate(buf)
+        node.accumulate(buf, fresh=True)
 
     return _node("slice_cols", a.data[:, start:stop].copy(), (a,), backward)
 
@@ -539,7 +555,7 @@ def multihead_attention(
             gk[k0:k1, c] = (qh.T @ gw).T
         for (node, _), gt in zip(inputs, (gq, gk, gv)):
             if node is not None:
-                node.accumulate(gt)
+                node.accumulate(gt, fresh=True)
 
     return _node("multihead_attention", data, (q, k, v), backward)
 
@@ -560,12 +576,12 @@ def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> 
 
     def backward(g: np.ndarray) -> None:
         if ngain is not None:
-            ngain.accumulate((g * xhat).sum(axis=0, keepdims=True))
+            ngain.accumulate((g * xhat).sum(axis=0, keepdims=True), fresh=True)
         if nbias is not None:
-            nbias.accumulate(g.sum(axis=0, keepdims=True))
+            nbias.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
         if nx is not None:
             gh = g * gamma
             term = gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True)
-            nx.accumulate(inv * term)
+            nx.accumulate(inv * term, fresh=True)
 
     return _node("layernorm_rows", data, (x, gain, bias), backward)

@@ -113,7 +113,7 @@ def cross_entropy_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         onehot = np.zeros_like(softmax)
         onehot[rows, label_arr] = 1.0
-        node.accumulate(g[0, 0] * (softmax - onehot) / label_arr.shape[0])
+        node.accumulate(g[0, 0] * (softmax - onehot) / label_arr.shape[0], fresh=True)
 
     return T._node("cross_entropy", np.array([[losses.mean()]]), (logits,), backward)
 

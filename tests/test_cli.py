@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -194,6 +195,19 @@ class TestEval:
             code = main(["eval", "--checkpoint", str(broken), "--corpus", str(corpus)])
             assert code == 3, text[:50]
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000 + "]" * 200_000, '{"version": 1' + "0" * 5_000 + "}"],
+        ids=["nested-past-recursion-limit", "int-past-digit-limit"],
+    )
+    def test_checkpoint_past_decoder_limits_exit_3(self, corpus, tmp_path, capsys, text):
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        code = main(["predict", "--checkpoint", str(broken), "--corpus", str(corpus)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: unreadable checkpoint"), err
+
     def test_schema_of_stdout_report(self, corpus, trained, capsys):
         code = main(
             [
@@ -317,6 +331,21 @@ class TestExitCodes:
 
         monkeypatch.setattr("depfuse.cli.run_training", explode)
         assert main(train_args(corpus, tmp_path / "x")) == 4
+
+    def test_real_divergence_exits_4_with_one_error_line(self, tmp_path, capsys):
+        # The matmul that overflows would also print numpy's RuntimeWarning
+        # and its source line; the finite check's error is the only report.
+        tiny = tmp_path / "tiny.jsonl"
+        assert main(["gen-synth", "--n", "3", "--seed", "1", "--out", str(tiny)]) == 0
+        capsys.readouterr()
+        argv = ["train", "--corpus", str(tiny), "--out-dir", str(tmp_path / "r"), "--lr", "1e300"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert [str(w.message) for w in caught] == []
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 def assert_usage_error(argv, capsys):

@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from depfuse import model as model_module
@@ -380,18 +382,25 @@ class TestOneGraphPerBatch:
         assert size(8) == size(1)
 
 
-def test_refine_graph_memory_after_forward_and_backward():
-    # Eight users of 256 tokens through two 4-head refinement blocks. Keeping
-    # every L x L probability matrix and every interior gradient held 64 MiB
-    # after forward and 90 MiB after backward; without them it is about 32.
+def refine_batch():
+    """Eight users of 256 tokens for a model with two 4-head refinement
+    blocks, and their labels."""
     model = init_params(ModelConfig(refine_layers=2, vocab_size=100), seed=3)
     rng = np.random.default_rng(3)
     batch = [(sequence(rng.integers(4, 100, size=256).tolist(), 256), rng.normal(size=6))
              for _ in range(8)]
+    return model, batch, [i % 2 for i in range(8)]
+
+
+def test_refine_graph_memory_after_forward_and_backward():
+    # Keeping every L x L probability matrix and every interior gradient held
+    # 64 MiB after forward and 90 MiB after backward; without them it is
+    # about 32.
+    model, batch, labels = refine_batch()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss = cross_entropy_loss(forward(model, batch), [i % 2 for i in range(8)])
+        loss = cross_entropy_loss(forward(model, batch), labels)
         after_forward = tracemalloc.get_traced_memory()[0] - before
         loss.backward()
         after_backward = tracemalloc.get_traced_memory()[0] - before
@@ -402,15 +411,26 @@ def test_refine_graph_memory_after_forward_and_backward():
     assert after_backward < 44 * mib, after_backward / mib
 
 
-def test_refine_step_peak_with_the_spent_graph_alive():
-    # train.train keeps the previous step's spent graph bound while the next
-    # forward runs. Nodes that held their op outputs peaked at 64 MiB here;
-    # with each node holding only what its backward reads, about 32.
-    model = init_params(ModelConfig(refine_layers=2, vocab_size=100), seed=3)
-    rng = np.random.default_rng(3)
-    batch = [(sequence(rng.integers(4, 100, size=256).tolist(), 256), rng.normal(size=6))
-             for _ in range(8)]
-    labels = [i % 2 for i in range(8)]
+def test_refine_spent_graph_holds_only_the_leaf_gradients():
+    # With the root still bound, a graph that kept its closures' arrays after
+    # backward held 14.3 MiB here; released node by node, only the
+    # parameters' gradients (about 0.3 MiB) are left.
+    model, batch, labels = refine_batch()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = cross_entropy_loss(forward(model, batch), labels)
+        loss.backward()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert held < 2 * (1 << 20), held / (1 << 20)
+
+
+def refine_step_peak(model, batch, labels):
+    """Traced peak of a forward run while the previous step's spent graph is
+    still bound, as it is in train.train, above the memory before that step."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -423,7 +443,22 @@ def test_refine_step_peak_with_the_spent_graph_alive():
     finally:
         tracemalloc.stop()
     assert spent.requires_grad and loss.requires_grad
+    return peak
+
+
+def test_refine_step_peak_with_the_spent_graph_alive():
+    # train.train keeps the previous step's spent graph bound while the next
+    # forward runs. Nodes that held their op outputs peaked at 64 MiB here;
+    # with each node holding only what its backward reads, about 32.
+    peak = refine_step_peak(*refine_batch())
     assert peak < 40 * (1 << 20), peak / (1 << 20)
+
+
+def test_refine_step_peak_with_a_released_spent_graph():
+    # A spent graph that kept its closures' arrays added 14 MiB to the next
+    # forward's peak (31.5 MiB); released during backward, it adds nothing.
+    peak = refine_step_peak(*refine_batch())
+    assert peak < 24 * (1 << 20), peak / (1 << 20)
 
 
 def test_checkpoint_save_memory_is_bounded_by_a_block(tmp_path):
@@ -604,7 +639,8 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="shape|match"):
             load_checkpoint(path)
         payload["config"]["d1"] = small_config().d1
-        for entry in ([1, 2], "x", {"shape": 3, "data": []}, {"shape": [1, 2], "data": ["a", 1]}):
+        for entry in ([1, 2], "x", {"shape": 3, "data": []}, {"shape": [1, 2], "data": ["a", 1]},
+                      {"shape": [1, 2], "data": [10**400, 1]}):
             payload["params"]["mlp_b2"] = entry
             path.write_text(json.dumps(payload))
             with pytest.raises(DataFormatError, match="mlp_b2"):
@@ -637,6 +673,21 @@ class TestCheckpoint:
             payload[part][key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match=part.rstrip("s")):
+            load_checkpoint(path)
+
+    def test_block_count_past_the_params_rejected_before_listing_them(self, tmp_path, monkeypatch):
+        # Listing the expected names of 10**12 refinement blocks would not
+        # end; the params, which cannot hold that many, refuse it first.
+        _, path = self.build(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["config"]["refine_layers"] = 10**12
+        path.write_text(json.dumps(payload))
+
+        def listing(config):
+            raise AssertionError(f"listed the names of {config.refine_layers} blocks")
+
+        monkeypatch.setattr(model_module, "_expected_shapes", listing)
+        with pytest.raises(DataFormatError, match="refine_layers"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -684,3 +735,72 @@ class TestCheckpoint:
             path.write_text(text)
             with pytest.raises(DataFormatError, match="not a JSON object"):
                 load_checkpoint(path)
+
+
+JSON_VALUES = st.recursive(
+    # Integers past float range as well: they parse, but not as float64.
+    st.none() | st.booleans() | st.integers() | st.integers(10**308, 10**310) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(value, out):
+    """(container, key) of every dict entry and of each list's first item."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            out.append((value, key))
+            _slots(item, out)
+    elif isinstance(value, list) and value:
+        out.append((value, 0))
+        _slots(value[0], out)
+    return out
+
+
+@st.composite
+def mutated_checkpoints(draw, original: bytes) -> bytes:
+    """A valid checkpoint with bytes flipped, cut short, or one key dropped,
+    given a value of another JSON type, or nested inside lists and objects."""
+    kind = draw(st.sampled_from(["flip", "truncate", "drop", "retype", "nest"]))
+    if kind == "flip":
+        data = bytearray(original)
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    if kind == "truncate":
+        return original[: draw(st.integers(0, len(original) - 1))]
+    payload = json.loads(original)
+    container, key = draw(st.sampled_from(_slots(payload, [])))
+    if kind == "drop":
+        del container[key]
+    elif kind == "retype":
+        container[key] = draw(JSON_VALUES)
+    else:
+        for wrap in draw(st.lists(st.sampled_from(["list", "object"]), min_size=1, max_size=40)):
+            container[key] = [container[key]] if wrap == "list" else {"x": container[key]}
+    return json.dumps(payload).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    _, path = TestCheckpoint().build(
+        tmp_path_factory.mktemp("fuzz"), vocab=MIXED_SCRIPT_VOCAB, refine_layers=1
+    )
+    return path
+
+
+def test_fuzzed_checkpoint_loads_or_raises_data_format_error(valid_checkpoint):
+    original = valid_checkpoint.read_bytes()
+    path = valid_checkpoint.with_name("mutated.json")
+
+    @given(mutated_checkpoints(original))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def check(data):
+        path.write_bytes(data)
+        try:
+            load_checkpoint(path)
+        except DataFormatError:
+            pass
+
+    check()

@@ -429,6 +429,55 @@ def test_graph_holds_only_what_backward_reads():
     assert hidden_data() is None
 
 
+def test_backward_frees_the_closures_arrays_with_the_root_still_bound():
+    # A matmul operand lives in the graph only for its backward: once that
+    # closure has run, the spent graph lets go of it though loss is alive.
+    rng = np.random.default_rng(9)
+    x, w1, w2 = leaf(rng, 4, 3), leaf(rng, 3, 5), leaf(rng, 5, 2)
+    hidden = T.relu(T.matmul(x, w1))
+    loss = T.sum_all(T.matmul(hidden, w2))
+    hidden_data = weakref.ref(hidden.data)
+    del hidden
+    assert hidden_data() is not None
+    loss.backward()
+    assert hidden_data() is None
+    assert loss.requires_grad and w2.grad is not None
+
+
+def test_backward_through_a_released_node_raises_and_keeps_leaf_gradients():
+    # h was released by the first backward; a second root over it must not
+    # silently skip its closure and leave x and w without their share.
+    rng = np.random.default_rng(10)
+    x, w, y = leaf(rng, 4, 3), leaf(rng, 3, 2), leaf(rng, 4, 2)
+    h = T.matmul(x, w)
+    T.sum_all(h).backward()
+    grads = x.grad.tobytes(), w.grad.tobytes()
+    for second in (T.sum_all(T.mul(h, h)), T.sum_all(T.add(y, h)), T.sum_all(h)):
+        with pytest.raises(UsageError, match="already ran"):
+            second.backward()
+        assert (x.grad.tobytes(), w.grad.tobytes()) == grads
+        assert y.grad is None
+
+
+@pytest.mark.parametrize("op", ["add", "concat_cols"])
+def test_aliased_gradients_are_copied_not_adopted(op):
+    # add passes its upstream gradient to both operands, and concat_cols a
+    # view of it to each. Had x or u adopted such an array, x's second share
+    # would add into the array w holds as its gradient, and a leaf would hold
+    # a view that keeps its op's whole gradient alive.
+    rng = np.random.default_rng(11)
+    x = leaf(rng, 3, 2)
+    doubled = T.add(x, x) if op == "add" else T.concat_cols(x, x)
+    w = leaf(rng, *doubled.shape)
+    c = rng.uniform(0.5, 1.5, size=doubled.shape)
+    u = T.add(doubled, w)
+    T.sum_all(T.mul(u, Tensor(c))).backward()
+    np.testing.assert_array_equal(w.grad, c)
+    want = 2 * c if op == "add" else c[:, :2] + c[:, 2:]
+    np.testing.assert_array_equal(x.grad, want)
+    assert x.grad.flags.owndata and w.grad.flags.owndata
+
+
 def test_fold_rows_is_row_major():
     # A stats-query model's fused row is its six attended rows end to end.
     out = T.fold_rows(tensor(np.arange(12.0).reshape(6, 2)), 3)
