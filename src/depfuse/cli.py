@@ -231,8 +231,6 @@ def _load_model_for(opts: VerbOptions):
 
 
 def _prepare_for_model(model, records, config: RunConfig):
-    if model.vocab is None or model.normalizer is None:
-        raise ConfigError("checkpoint lacks a vocabulary or normalizer; cannot featurize")
     scorer = make_scorer(config)
     return prepare_examples(
         records,
@@ -259,13 +257,12 @@ def cmd_eval(config: RunConfig, opts: VerbOptions) -> int:
         # Reproduction mode claims this is the training corpus; verify that
         # the vocabulary rebuilt from its training slice matches the
         # checkpoint before trusting the slice assignment.
-        if model.vocab is not None:
-            rebuilt = build_vocab(train_records, min_freq=model.vocab.min_freq)
-            if vocab_fingerprint(rebuilt) != vocab_fingerprint(model.vocab):
-                raise ConfigError(
-                    "checkpoint/corpus mismatch (vocab hash): this corpus+seed+ratio does"
-                    " not reproduce the checkpoint's training slice"
-                )
+        rebuilt = build_vocab(train_records, min_freq=model.vocab.min_freq)
+        if vocab_fingerprint(rebuilt) != vocab_fingerprint(model.vocab):
+            raise ConfigError(
+                "checkpoint/corpus mismatch (vocab hash): this corpus+seed+ratio does"
+                " not reproduce the checkpoint's training slice"
+            )
         records = train_records if opts.split == "train" else val_records
     if not records:
         raise ConfigError("selected slice is empty")

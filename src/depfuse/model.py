@@ -1,11 +1,11 @@
 """The fusion classifier: token encoder, statistic encoder, cross-attention
 fusion (or a concat baseline), and a two-layer MLP head.
 
-Two inputs per user: a token sequence (or an externally produced embedding
-matrix) and the normalized 6-component statistic vector. The statistic rows
-act as keys/values under the default ``fusion_query="tokens"``; flipping to
-``"stats"`` swaps the roles, in which case the query/key projection widths
-swap with them so each projection matches its input side.
+Two inputs per user: a token sequence and the normalized 6-component
+statistic vector. The statistic rows act as keys/values under the default
+``fusion_query="tokens"``; flipping to ``"stats"`` swaps the roles, in which
+case the query/key projection widths swap with them so each projection
+matches its input side.
 """
 
 from __future__ import annotations
@@ -218,9 +218,6 @@ def init_params(
     return FusionModel(config=config, params=params, vocab=vocab, normalizer=normalizer)
 
 
-TokenInput = Union[TokenSequence, np.ndarray]
-
-
 def _bounds(lengths: Sequence[int]) -> List[int]:
     """Segment bounds of consecutive runs of the given lengths."""
     return [0, *itertools.accumulate(lengths)]
@@ -247,39 +244,27 @@ def _refine_block(model: FusionModel, x: Tensor, index: int, bounds: List[int]) 
     )
 
 
-def encode_tokens(model: FusionModel, items: Sequence[TokenInput]) -> Tuple[Tensor, List[int]]:
+def encode_tokens(
+    model: FusionModel, items: Sequence[TokenSequence]
+) -> Tuple[Tensor, List[int]]:
     """Token rows of a batch, users stacked in order, and their segment
     bounds: user i owns rows [bounds[i], bounds[i+1]). Each row is embedding
     plus positional, through any refinement blocks. PAD rows never enter the
     computation: ids are cut at true_len first (an all-PAD sequence falls
-    back to the CLS row alone). Precomputed matrices skip the tables and feed
-    the blocks directly; a batch holds one kind of input or the other."""
+    back to the CLS row alone)."""
     cfg = model.config
-    is_sequence = [isinstance(item, TokenSequence) for item in items]
-    if all(is_sequence):
-        ids: List[int] = []
-        lengths = []
-        for item in items:
-            length = item.true_len
-            if length > cfg.max_len:
-                raise UsageError(f"sequence length {length} exceeds max_len {cfg.max_len}")
-            ids.extend(item.ids[:length] if length > 0 else (CLS,))
-            lengths.append(max(length, 1))
-        bounds = _bounds(lengths)
-        positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
-        emb = T.gather_rows(model.params["embedding"], ids)
-        x = T.add(emb, T.gather_rows(model.params["positional"], positions))
-    elif any(is_sequence):
-        raise UsageError("a batch mixes token sequences and precomputed matrices")
-    else:
-        matrices = [np.asarray(item, dtype=np.float64) for item in items]
-        for matrix in matrices:
-            if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] != cfg.d1:
-                raise DimensionError(
-                    f"precomputed matrix must be Lx{cfg.d1} with L >= 1, got {matrix.shape}"
-                )
-        bounds = _bounds([len(matrix) for matrix in matrices])
-        x = Tensor(np.vstack(matrices))
+    ids: List[int] = []
+    lengths = []
+    for item in items:
+        length = item.true_len
+        if length > cfg.max_len:
+            raise UsageError(f"sequence length {length} exceeds max_len {cfg.max_len}")
+        ids.extend(item.ids[:length] if length > 0 else (CLS,))
+        lengths.append(max(length, 1))
+    bounds = _bounds(lengths)
+    positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
+    emb = T.gather_rows(model.params["embedding"], ids)
+    x = T.add(emb, T.gather_rows(model.params["positional"], positions))
     for i in range(cfg.refine_layers):
         x = _refine_block(model, x, i, bounds)
     return x, bounds
@@ -331,9 +316,9 @@ def mlp_forward(model: FusionModel, x: Tensor) -> Tensor:
 
 
 def forward(
-    model: FusionModel, batch: Sequence[Tuple[TokenInput, np.ndarray]]
+    model: FusionModel, batch: Sequence[Tuple[TokenSequence, np.ndarray]]
 ) -> Tensor:
-    """B x 2 logits for a batch of (token input, normalized statistics).
+    """B x 2 logits for a batch of (token sequence, normalized statistics).
 
     The batch is one graph whatever its size: the users' token rows and
     statistic rows are stacked, each op runs once on the stack, and only
@@ -477,10 +462,8 @@ def _config_from(raw) -> ModelConfig:
     return config
 
 
-def _vocab_from(raw, table_rows: int) -> Optional[Vocab]:
+def _vocab_from(raw, table_rows: int) -> Vocab:
     """Token ids must index rows of the embedding table."""
-    if raw is None:
-        return None
     if not (
         isinstance(raw, dict)
         and type(raw.get("min_freq")) is int
@@ -494,9 +477,7 @@ def _vocab_from(raw, table_rows: int) -> Optional[Vocab]:
     return Vocab(token_to_id=dict(raw["tokens"]), min_freq=raw["min_freq"])
 
 
-def _normalizer_from(raw) -> Optional[FeatureNormalizer]:
-    if raw is None:
-        return None
+def _normalizer_from(raw) -> FeatureNormalizer:
     if not isinstance(raw, dict):
         raise DataFormatError("checkpoint normalizer is not a JSON object")
     mean = _finite_array(raw.get("mean"), (N_FEATURES,), "normalizer mean")
@@ -508,8 +489,9 @@ def _normalizer_from(raw) -> Optional[FeatureNormalizer]:
 
 def load_checkpoint(path: Union[str, Path]) -> FusionModel:
     """Read a checkpoint written by save_checkpoint. Any departure from that
-    layout, or a non-finite number, raises DataFormatError here rather than
-    at the first forward pass."""
+    layout, a non-finite number, or a missing vocabulary or normalizer
+    (without which no corpus can be featurized) raises DataFormatError here
+    rather than at the first forward pass."""
     try:
         payload = json.loads(Path(path).read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:

@@ -213,8 +213,8 @@ def run_training(config: RunConfig) -> PipelineResult:
 
 
 def write_artifacts(result: PipelineResult, config: RunConfig) -> Dict[str, Path]:
+    """Checkpoint, history and metrics into out_dir, which make_out_dir made."""
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "checkpoint": out_dir / "checkpoint.json",
         "history": out_dir / "history.csv",
@@ -273,7 +273,5 @@ def run_ablation(
             f"{name},{report.accuracy:.6f},{report.precision:.6f},"
             f"{report.recall:.6f},{report.f1:.6f}"
         )
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    (Path(config.out_dir) / "summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
     return results

@@ -15,15 +15,12 @@ is one token, lowercased as a whole.
 from __future__ import annotations
 
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, TextIO, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Tuple
 
 from .corpus import UserRecord
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError
 
 PAD = 0
 UNK = 1
@@ -127,63 +124,3 @@ def build_user_sequence(user: UserRecord, vocab: Vocab, max_len: int) -> TokenSe
     true_len = len(ids)
     ids.extend([PAD] * (max_len - true_len))
     return TokenSequence(ids=tuple(ids), true_len=true_len)
-
-
-def load_precomputed(stream: TextIO) -> Dict[str, np.ndarray]:
-    """Load per-user precomputed embedding matrices.
-
-    Format, repeated per user: a header line ``user_id d1 L`` followed by L
-    lines of d1 whitespace-separated decimals. All users must share d1;
-    non-finite values are rejected. An empty stream yields an empty map with
-    a warning on stderr.
-    """
-    out: Dict[str, np.ndarray] = {}
-    width: int | None = None
-    lines = [ln.rstrip("\n") for ln in stream]
-    pos = 0
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        header = lines[pos].split()
-        if len(header) != 3:
-            raise DataFormatError(
-                f"line {pos + 1}: expected header 'user_id d1 L', got {lines[pos]!r}"
-            )
-        user_id = header[0]
-        try:
-            d1, n_rows = int(header[1]), int(header[2])
-        except ValueError:
-            raise DataFormatError(f"line {pos + 1}: non-integer dimensions in header") from None
-        if d1 < 1 or n_rows < 1:
-            raise DataFormatError(f"line {pos + 1}: dimensions must be >= 1")
-        if user_id in out:
-            raise DataFormatError(f"line {pos + 1}: duplicate user_id {user_id}")
-        if width is None:
-            width = d1
-        elif d1 != width:
-            raise DataFormatError(
-                f"user {user_id}: embedding width {d1} does not match corpus width {width}"
-            )
-        pos += 1
-        rows = []
-        for r in range(n_rows):
-            if pos >= len(lines):
-                raise DataFormatError(f"user {user_id}: truncated matrix (row {r})")
-            values = lines[pos].split()
-            if len(values) != d1:
-                raise DataFormatError(
-                    f"user {user_id}: row {r} has {len(values)} values, expected {d1}"
-                )
-            try:
-                rows.append([float(v) for v in values])
-            except ValueError:
-                raise DataFormatError(f"user {user_id}: non-numeric value in row {r}") from None
-            pos += 1
-        matrix = np.asarray(rows, dtype=np.float64)
-        if not np.isfinite(matrix).all():
-            raise DataFormatError(f"user {user_id}: non-finite embedding value")
-        out[user_id] = matrix
-    if not out:
-        print("warning: precomputed embedding file is empty", file=sys.stderr)
-    return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import UserRecord
-from .errors import ConfigError, DataFormatError, UsageError
+from .errors import ConfigError, UsageError
 from .features import (
     DEFAULT_NEGATIVITY_THRESHOLD,
     FeatureNormalizer,
@@ -26,10 +26,10 @@ from .features import (
     extract_features,
 )
 from .metrics import MetricsReport, evaluate_predictions
-from .model import FusionModel, ModelConfig, TokenInput, forward
+from .model import FusionModel, ModelConfig, forward
 from .rng import STREAM_TRAIN, SplitMix64, derive_seed
 from .tensor import Tensor
-from .text import Vocab, build_user_sequence
+from .text import TokenSequence, Vocab, build_user_sequence
 
 # Elements per block of an Adam update (256 KiB of float64 per array).
 _ADAM_BLOCK = 1 << 15
@@ -162,7 +162,7 @@ def adam_step(
 @dataclass(frozen=True)
 class PreparedExample:
     user_id: str
-    tokens: TokenInput
+    tokens: TokenSequence
     stats: np.ndarray  # normalized 6-vector
     label: int
 
@@ -174,25 +174,16 @@ def prepare_examples(
     scorer: SentimentScorer,
     threshold: float = DEFAULT_NEGATIVITY_THRESHOLD,
     max_len: int = ModelConfig.max_len,
-    embeddings: Optional[Dict[str, np.ndarray]] = None,
     vectors: Optional[Sequence[StatFeatureVector]] = None,
 ) -> List[PreparedExample]:
-    """Turn records into model inputs. When an embeddings map is supplied,
-    every record must appear in it (the toy encoder is bypassed). Raw
-    feature vectors already extracted for the records, in the same order,
-    may be passed as ``vectors`` so they are not extracted again."""
+    """Turn records into model inputs. Raw feature vectors already extracted
+    for the records, in the same order, may be passed as ``vectors`` so they
+    are not extracted again."""
     if vectors is not None and len(vectors) != len(records):
         raise UsageError(f"{len(vectors)} feature vectors for {len(records)} records")
     out: List[PreparedExample] = []
     for i, record in enumerate(records):
-        if embeddings is not None:
-            if record.user_id not in embeddings:
-                raise DataFormatError(
-                    f"no precomputed embedding for user {record.user_id}"
-                )
-            tokens: TokenInput = embeddings[record.user_id]
-        else:
-            tokens = build_user_sequence(record, vocab, max_len)
+        tokens = build_user_sequence(record, vocab, max_len)
         raw = vectors[i] if vectors is not None else extract_features(record, scorer, threshold)
         stats = apply_normalizer(raw, normalizer)
         out.append(

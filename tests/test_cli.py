@@ -1,12 +1,19 @@
+import argparse
 import csv
 import json
 import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from depfuse import cli
 from depfuse.cli import build_parser, main, parse_config_file
+from depfuse.errors import ConfigError
+from depfuse.model import vocab_fingerprint
 from depfuse.pipeline import RunConfig
 
 
@@ -189,6 +196,8 @@ class TestEval:
             edited(lambda c: c.update(params=5)),
             edited(lambda c: c["config"].update(d1="8")),
             edited(lambda c: nan_first(c["params"]["mlp_w1"])),
+            edited(lambda c: c.update(normalizer=None)),
+            edited(lambda c: c.update(vocab=None, vocab_sha256=vocab_fingerprint(None))),
         ]
         for text in texts:
             broken.write_text(text)
@@ -574,3 +583,56 @@ def test_config_key_and_flags(key, tmp_path):
             else:
                 with pytest.raises(SystemExit):
                     parser.parse_args([verb, *argv])
+
+
+def typed_values(key):
+    """Config text for ``key``: mostly of its type, near its valid range."""
+    f = cli._SETTINGS[key]
+    kind = cli._kind(f)
+    if kind is bool:
+        return st.sampled_from(["true", "off", "Yes", "0", "2", "truthy"])
+    if kind is int:
+        return st.integers(-3, 300).map(str) | st.just("9" * 5000)
+    if kind is float:
+        return st.floats().map(repr) | st.sampled_from(["1e400", "0x1p-2", "1_0"])
+    return st.sampled_from(f.metadata.get("choices") or ["c.jsonl"]) | st.text(max_size=8)
+
+
+@st.composite
+def config_files(draw):
+    """Config file bytes: settings lines over every key, with values of the
+    key's type or junk, plus comments, blanks, lines that are not settings,
+    and sometimes trailing bytes that are not UTF-8."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["typed"] * 6 + ["untyped", "comment", "junk"]))
+        if kind in ("typed", "untyped"):
+            key = draw(st.sampled_from(sorted(cli._SETTINGS)))
+            value = draw(typed_values(key) if kind == "typed" else st.text(max_size=8))
+            lines.append(f"{key} = {value}")
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["", "# note", "  # seed = x"])))
+        else:
+            lines.append(draw(st.text(max_size=20)))
+    tail = draw(st.sampled_from([b""] * 4 + [b"\xff", b"\nseed = 1\xc3", b"\x80\n"]))
+    return "\n".join(lines).encode("utf-8") + tail
+
+
+def test_fuzzed_config_file_gives_settings_or_config_error(tmp_path):
+    path = tmp_path / "fuzz.cfg"
+    outcomes = Counter()
+
+    @given(config_files())
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def check(data):
+        path.write_bytes(data)
+        try:
+            run_config, _ = cli.settings(argparse.Namespace(config=str(path)))
+            run_config.validate()
+            outcomes["accepted"] += 1
+        except ConfigError:
+            outcomes["refused"] += 1
+
+    check()
+    # Both outcomes occur, so the fuzz reaches validate() with parsed values.
+    assert outcomes["accepted"] and outcomes["refused"], outcomes

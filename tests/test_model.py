@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from depfuse import model as model_module
-from depfuse.errors import ConfigError, DataFormatError, DimensionError, UsageError
+from depfuse.errors import ConfigError, DataFormatError, DimensionError
 from depfuse.features import FeatureNormalizer
 from depfuse.model import (
     CrossAttentionLayer,
@@ -138,16 +138,6 @@ class TestEncodeTokens:
         with pytest.raises(Exception, match="out of range"):
             encode_tokens(model, [sequence([CLS, 6])])
 
-    def test_precomputed_matrix_path(self):
-        model = init_params(small_config(), seed=3)
-        matrix = np.arange(12, dtype=np.float64).reshape(3, 4)
-        out, bounds = encode_tokens(model, [matrix, matrix[:1]])
-        np.testing.assert_array_equal(out.data, np.vstack([matrix, matrix[:1]]))
-        assert bounds == [0, 3, 4]
-        for bad in (np.zeros((3, 5)), np.zeros((0, 4)), np.zeros(4)):
-            with pytest.raises(DimensionError):
-                encode_tokens(model, [matrix, bad])
-
     def test_batch_stacks_users_with_their_own_positions(self):
         model = init_params(small_config(), seed=3)
         users = [[CLS, 5, 7], [], [CLS, 4, 5, 6, 7, 4, 5, 6]]
@@ -157,11 +147,6 @@ class TestEncodeTokens:
         for ids, start, stop in zip(users, bounds, bounds[1:]):
             rows = ids or [CLS]
             np.testing.assert_array_equal(out.data[start:stop], emb[rows] + pos[: len(rows)])
-
-    def test_mixed_input_kinds_rejected(self):
-        model = init_params(small_config(), seed=3)
-        with pytest.raises(UsageError, match="mixes"):
-            encode_tokens(model, [sequence([CLS, 4]), np.zeros((2, 4))])
 
 
 class TestEncodeStats:
@@ -335,18 +320,18 @@ BATCH_VARIANTS = [
 
 
 class TestOneGraphPerBatch:
-    @pytest.mark.parametrize("inputs", ["tokens", "precomputed"])
-    @pytest.mark.parametrize("overrides", BATCH_VARIANTS)
-    def test_user_in_batch_matches_user_alone(self, overrides, inputs):
+    # The id suffix names the input: a batch of token sequences.
+    @pytest.mark.parametrize(
+        "overrides", BATCH_VARIANTS,
+        ids=[f"overrides{i}-tokens" for i in range(len(BATCH_VARIANTS))],
+    )
+    def test_user_in_batch_matches_user_alone(self, overrides):
         model = init_params(small_config(**overrides), seed=17)
         rng = np.random.default_rng(17)
         # true_len 0 falls back to the CLS row alone; 8 is max_len.
         lengths = [0, 8, 3, 1, 5]
-        if inputs == "tokens":
-            items = [sequence([CLS] + rng.integers(4, 8, size=n - 1).tolist() if n else [])
-                     for n in lengths]
-        else:
-            items = [rng.normal(size=(max(n, 1), 4)) for n in lengths]
+        items = [sequence([CLS] + rng.integers(4, 8, size=n - 1).tolist() if n else [])
+                 for n in lengths]
         batch = [(item, rng.normal(size=6)) for item in items]
         labels = [0, 1, 1, 0, 1]
 
@@ -361,9 +346,6 @@ class TestOneGraphPerBatch:
         np.testing.assert_allclose(logits, np.vstack([a[0] for a in alone]), rtol=0, atol=1e-12)
         for name, grad in grads.items():
             solo = [a[1][name] for a in alone]
-            if grad is None:  # the tables, when the batch is precomputed
-                assert inputs == "precomputed" and all(g is None for g in solo)
-                continue
             # The batch loss is the mean of the users' losses.
             np.testing.assert_allclose(grad, sum(solo) / len(solo), rtol=0, atol=1e-12,
                                        err_msg=name)
@@ -660,6 +642,8 @@ class TestCheckpoint:
             ("config", "outer_relu", 0),
             ("config", "d_k", 0),
             ("config", "max_len", None),
+            ("vocab", None, None),
+            ("normalizer", None, None),
         ],
     )
     def test_malformed_part_rejected_at_load(self, tmp_path, part, key, value):

@@ -1,13 +1,9 @@
-import io
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_tweet, make_user
-from depfuse.errors import DataFormatError
 from depfuse.text import (
     CLS,
     PAD,
@@ -15,7 +11,6 @@ from depfuse.text import (
     UNK,
     build_user_sequence,
     build_vocab,
-    load_precomputed,
     tokenize,
 )
 
@@ -178,45 +173,3 @@ class TestUserSequence:
         a = build_user_sequence(user, vocab, max_len=32)
         b = build_user_sequence(user, vocab, max_len=32)
         assert a == b
-
-
-def embedding_file(text):
-    return io.StringIO(text)
-
-
-class TestPrecomputed:
-    def test_two_users(self):
-        content = (
-            "ua 4 2\n"
-            "0.0 0.1 0.2 0.3\n"
-            "1.0 1.1 1.2 1.3\n"
-            "ub 4 1\n"
-            "9 8 7 6\n"
-        )
-        table = load_precomputed(embedding_file(content))
-        assert set(table) == {"ua", "ub"}
-        assert table["ua"].shape == (2, 4)
-        assert table["ub"].shape == (1, 4)
-        np.testing.assert_allclose(table["ua"][1], [1.0, 1.1, 1.2, 1.3])
-
-    def test_mixed_width_rejected(self):
-        content = "ua 4 1\n0 0 0 0\nub 8 1\n0 0 0 0 0 0 0 0\n"
-        with pytest.raises(DataFormatError, match="ub"):
-            load_precomputed(embedding_file(content))
-
-    def test_empty_file_warns(self, capsys):
-        table = load_precomputed(embedding_file(""))
-        assert table == {}
-        assert "empty" in capsys.readouterr().err
-
-    def test_truncated_matrix(self):
-        with pytest.raises(DataFormatError, match="truncated"):
-            load_precomputed(embedding_file("ua 4 2\n0 0 0 0\n"))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DataFormatError, match="non-finite"):
-            load_precomputed(embedding_file("ua 2 1\nnan 1\n"))
-
-    def test_wrong_row_width(self):
-        with pytest.raises(DataFormatError, match="row 0"):
-            load_precomputed(embedding_file("ua 3 1\n0 0\n"))

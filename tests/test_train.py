@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from depfuse import pipeline
-from depfuse.errors import ConfigError, DataFormatError, UsageError
+from depfuse.errors import ConfigError, UsageError
 from depfuse.features import default_scorer, extract_features, fit_normalizer
 from depfuse.model import ModelConfig, forward, init_params
 from depfuse.synth import SynthDatasetSpec, generate_dataset
@@ -333,27 +333,6 @@ class TestEvaluate:
 
 
 class TestPrepareExamples:
-    def test_precomputed_embeddings_must_cover_all_users(self):
-        records = generate_dataset(SynthDatasetSpec(n_per_class=2, seed=2))
-        scorer = default_scorer()
-        vocab = build_vocab(records)
-        normalizer = fit_normalizer([extract_features(r, scorer) for r in records])
-        table = {records[0].user_id: np.zeros((3, 8))}
-        with pytest.raises(DataFormatError, match="no precomputed embedding"):
-            prepare_examples(records, vocab, normalizer, scorer, embeddings=table)
-
-    def test_precomputed_embeddings_feed_forward(self):
-        records = generate_dataset(SynthDatasetSpec(n_per_class=2, seed=2))
-        scorer = default_scorer()
-        vocab = build_vocab(records)
-        normalizer = fit_normalizer([extract_features(r, scorer) for r in records])
-        rng = np.random.default_rng(0)
-        table = {r.user_id: rng.normal(size=(4, 8)) for r in records}
-        examples = prepare_examples(records, vocab, normalizer, scorer, embeddings=table)
-        model = tiny_model(vocab, normalizer)
-        logits = predict_logits(model, examples)
-        assert logits.shape == (len(records), 2)
-
     def test_given_vectors_match_extraction(self):
         records = generate_dataset(SynthDatasetSpec(n_per_class=3, seed=4))
         scorer = default_scorer()
