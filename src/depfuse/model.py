@@ -391,21 +391,23 @@ def save_checkpoint(model: FusionModel, path: Union[str, Path]) -> None:
     as it was. The bytes equal ``json.dumps`` of the whole payload with
     ``sort_keys=True`` and ``separators=(",", ":")``. load_checkpoint reads
     any JSON spelling of the same payload, so version-1 files written in raw
-    UTF-8 still load."""
+    UTF-8 still load.
+
+    A model without a vocabulary or a normalizer raises UsageError before
+    any file is touched, since load_checkpoint refuses such a file."""
+    for part in ("vocab", "normalizer"):
+        if getattr(model, part) is None:
+            raise UsageError(f"cannot save a checkpoint of a model with no {part}")
     path = Path(path)
     head = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "vocab": _vocab_payload(model.vocab),
         "vocab_sha256": vocab_fingerprint(model.vocab),
-        "normalizer": (
-            None
-            if model.normalizer is None
-            else {
-                "mean": model.normalizer.mean.tolist(),
-                "std": model.normalizer.std.tolist(),
-            }
-        ),
+        "normalizer": {
+            "mean": model.normalizer.mean.tolist(),
+            "std": model.normalizer.std.tolist(),
+        },
     }
     tmp = path.with_name(path.name + ".tmp")
     try:

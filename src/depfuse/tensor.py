@@ -12,7 +12,11 @@ segment, ``mean_rows`` pools each segment to one row, and ``fold_rows``
 folds each run of a fixed number of rows into one row.
 The embedding lookup (gather_rows) is row-sparse in backward: it adds into
 the table's gradient only the rows its ids touched, and the table-sized
-gradient array is allocated once per pass, not once per lookup. Forward
+gradient array is allocated once per pass, not once per lookup. It also
+records those rows on the table's node (``Tensor.grad_rows``), the union
+over lookups, so the optimizer can skip the rows whose gradient is +0.0;
+any dense gradient, setting ``grad`` and ``zero_grad`` clear the record,
+and a cleared record means any row may be nonzero. Forward
 results are checked for NaN/Inf on every operation. Recorded tensors must
 not be mutated in place while their graph is alive; the optimizer mutates
 leaf parameters only between passes.
@@ -57,12 +61,17 @@ Backward = Callable[[np.ndarray], None]
 class Node:
     """One gradient-tracked leaf or recorded op in a graph: its gradient, the
     nodes of its tracked inputs and the closure that passes a gradient on to
-    them. It holds no value."""
+    them. It holds no value.
 
-    __slots__ = ("grad", "parents", "backward", "released")
+    ``rows`` is None while any row of the gradient may be nonzero ("dense").
+    Otherwise it is the sorted array of the only rows that gather_rows'
+    backward added into; every other row of the gradient is +0.0."""
+
+    __slots__ = ("grad", "rows", "parents", "backward", "released")
 
     def __init__(self, parents: Tuple["Node", ...] = (), backward: Optional[Backward] = None):
         self.grad: Optional[np.ndarray] = None
+        self.rows: Optional[np.ndarray] = None
         self.parents = parents
         self.backward = backward
         self.released = False
@@ -71,11 +80,25 @@ class Node:
         """Add g into the gradient. A first gradient is kept as it is when
         ``fresh`` says the op has just computed g and nothing else holds it;
         any other one is copied, because later gradients add into it in
-        place."""
+        place. The gradient is dense afterwards."""
         if self.grad is None:
             self.grad = g if fresh else g.copy()
         else:
             self.grad += g
+        self.rows = None
+
+    def accumulate_rows(self, rows: np.ndarray, sums: np.ndarray, shape: Shape) -> None:
+        """Add sums[i] into gradient row rows[i], rows sorted and distinct,
+        and record them: a first gradient lists exactly these rows, a listed
+        one takes the union, and a dense one stays dense."""
+        if self.grad is None:
+            self.grad = np.zeros(shape)
+            self.grad[rows] = sums
+            self.rows = rows
+        else:
+            self.grad[rows] += sums
+            if self.rows is not None:
+                self.rows = np.union1d(self.rows, rows)
 
 
 class Tensor:
@@ -109,10 +132,17 @@ class Tensor:
         if self._node is None:
             raise UsageError("grad is set only on gradient-tracked tensors")
         self._node.grad = value
+        self._node.rows = None
+
+    @property
+    def grad_rows(self) -> Optional[np.ndarray]:
+        """The sorted rows outside which grad is known to be +0.0, or None
+        when any row may be nonzero (see Node)."""
+        return None if self._node is None else self._node.rows
 
     def zero_grad(self) -> None:
         if self._node is not None:
-            self._node.grad = None
+            self._node.grad = self._node.rows = None
 
     def item(self) -> float:
         if self.shape != (1, 1):
@@ -160,7 +190,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node.backward(node.grad)
-            node.grad = node.backward = None
+            node.grad = node.rows = node.backward = None
             node.parents = ()
             node.released = True
 
@@ -305,7 +335,7 @@ def mean_rows(a: Tensor, bounds: Bounds = None) -> Tensor:
     segs = _segments(bounds, a.shape[0], "mean_rows")
     data = np.empty((len(segs), a.shape[1]))
     for i, (start, stop) in enumerate(segs):
-        data[i] = a.data[start:stop].mean(axis=0)
+        data[i] = a.data[start:stop].sum(axis=0) / (stop - start)
     counts = np.array([stop - start for start, stop in segs])
     node = a._node
 
@@ -417,12 +447,7 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         cols = g.shape[1]
         flat = (inv[:, None] * cols + np.arange(cols)).reshape(-1)
         sums = np.bincount(flat, weights=g.reshape(-1), minlength=rows.size * cols)
-        sums = sums.reshape(rows.size, cols)
-        if node.grad is None:
-            node.grad = np.zeros(shape)
-            node.grad[rows] = sums
-        else:
-            node.grad[rows] += sums
+        node.accumulate_rows(rows, sums.reshape(rows.size, cols), shape)
 
     return _node("gather_rows", table.data[idx], (table,), backward)
 
@@ -567,8 +592,8 @@ def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> 
         raise DimensionError(
             f"layernorm_rows: gain {gain.shape} / bias {bias.shape} must be (1, {c})"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = x.data.sum(axis=1, keepdims=True) / c
+    var = ((x.data - mu) ** 2).sum(axis=1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
@@ -581,7 +606,8 @@ def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> 
             nbias.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
         if nx is not None:
             gh = g * gamma
-            term = gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True)
+            term = gh - gh.sum(axis=1, keepdims=True) / c
+            term -= xhat * ((gh * xhat).sum(axis=1, keepdims=True) / c)
             nx.accumulate(inv * term, fresh=True)
 
     return _node("layernorm_rows", data, (x, gain, bias), backward)

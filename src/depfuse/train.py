@@ -131,26 +131,56 @@ def adam_step(
         v = b2 * v + (1 - b2) * g * g
         p = p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
 
-    so the values equal that out-of-place formula bit for bit."""
+    so the values equal that out-of-place formula bit for bit.
+
+    A parameter whose gradient lists its nonzero rows (``Tensor.grad_rows``,
+    set by the embedding lookup's backward) and leaves some row out takes
+    the row-sparse path: one pass over the table scales every row's m and v
+    by b1 and b2, the gradient terms are added on the listed rows alone,
+    and the blocked loop runs the bias-corrected update over every row.
+    This is still dense Adam, not a lazy variant, and it gives the same
+    bits. An unlisted row's gradient is +0.0, so the skipped terms are
+    g * (1 - b1) = +0.0 and (g * (1 - b2)) * g = +0.0, and adding +0.0
+    changes x only when x is -0.0. m and v never are: they start at +0.0,
+    a sum is -0.0 only when both of its terms are, and b1 * m rounds to
+    -0.0 only when m is -0.0 (b1 and b2 are above 1/2, so even the smallest
+    subnormal keeps its magnitude)."""
+    for name, p in params.items():
+        if p.grad is None:
+            raise UsageError(f"parameter {name} has no gradient; run backward first")
     state.t += 1
     t = state.t
     b1, b2 = BETA1, BETA2
     for name, p in params.items():
-        if p.grad is None:
-            raise UsageError(f"parameter {name} has no gradient; run backward first")
+        listed = p.grad_rows
+        sparse = listed is not None and listed.size < p.shape[0]
+        if sparse:
+            m, v, g = state.m[name], state.v[name], p.grad[listed]
+            m *= b1
+            m[listed] += g * (1.0 - b1)
+            g_sq = g * (1.0 - b2)
+            g_sq *= g
+            v *= b2
+            v[listed] += g_sq
         rows = max(1, _ADAM_BLOCK // p.shape[1])
+        # Each block allocates its own two temporaries. One pair per call,
+        # held across it, left the heap top free at its end, and the trims
+        # that followed doubled the page faults of the next forward.
         for start in range(0, p.shape[0], rows):
             block = slice(start, start + rows)
-            w, g = p.data[block], p.grad[block]
-            m, v = state.m[name][block], state.v[name][block]
-            step = np.multiply(g, 1.0 - b1)
-            m *= b1
-            m += step
-            np.multiply(g, 1.0 - b2, out=step)
-            step *= g
-            v *= b2
-            v += step
-            np.divide(m, 1.0 - b1**t, out=step)
+            w, m, v = p.data[block], state.m[name][block], state.v[name][block]
+            if sparse:
+                step = np.divide(m, 1.0 - b1**t)
+            else:
+                g = p.grad[block]
+                step = np.multiply(g, 1.0 - b1)
+                m *= b1
+                m += step
+                np.multiply(g, 1.0 - b2, out=step)
+                step *= g
+                v *= b2
+                v += step
+                np.divide(m, 1.0 - b1**t, out=step)
             denom = np.divide(v, 1.0 - b2**t)
             np.sqrt(denom, out=denom)
             denom += EPSILON

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from depfuse import model as model_module
-from depfuse.errors import ConfigError, DataFormatError, DimensionError
+from depfuse.errors import ConfigError, DataFormatError, DimensionError, UsageError
 from depfuse.features import FeatureNormalizer
 from depfuse.model import (
     CrossAttentionLayer,
@@ -443,6 +443,9 @@ def test_refine_step_peak_with_a_released_spent_graph():
     assert peak < 24 * (1 << 20), peak / (1 << 20)
 
 
+NORMALIZER = FeatureNormalizer(mean=np.linspace(0, 1, 6), std=np.linspace(1, 2, 6))
+
+
 def test_checkpoint_save_memory_is_bounded_by_a_block(tmp_path):
     # A 25,000 x 32 embedding is 6.1 MiB of float64 and 18 MB of JSON text.
     # Building the whole file in memory, as a list of Python floats, a string
@@ -450,7 +453,9 @@ def test_checkpoint_save_memory_is_bounded_by_a_block(tmp_path):
     tokens = {f"w{i:05d}": i for i in range(4, 24_999)}
     tokens["很"] = 24_999
     vocab = Vocab(token_to_id=tokens, min_freq=1)
-    model = init_params(ModelConfig(vocab_size=25_000), seed=3, vocab=vocab)
+    model = init_params(
+        ModelConfig(vocab_size=25_000), seed=3, vocab=vocab, normalizer=NORMALIZER
+    )
     tracemalloc.start()
     try:
         save_checkpoint(model, tmp_path / "big.json")
@@ -522,11 +527,8 @@ MIXED_SCRIPT_VOCAB = Vocab(token_to_id={"hello": 4, "很": 5, "λόγος": 6, "
 class TestCheckpoint:
     def build(self, tmp_path, vocab=None, **overrides):
         vocab = vocab or Vocab(token_to_id={"hello": 4, "很": 5}, min_freq=1)
-        normalizer = FeatureNormalizer(
-            mean=np.linspace(0, 1, 6), std=np.linspace(1, 2, 6)
-        )
         model = init_params(
-            small_config(**overrides), seed=13, vocab=vocab, normalizer=normalizer
+            small_config(**overrides), seed=13, vocab=vocab, normalizer=NORMALIZER
         )
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
@@ -570,7 +572,9 @@ class TestCheckpoint:
     def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch, error):
         _, path = self.build(tmp_path)
         before = path.read_bytes()
-        other = init_params(small_config(), seed=14, vocab=MIXED_SCRIPT_VOCAB)
+        other = init_params(
+            small_config(), seed=14, vocab=MIXED_SCRIPT_VOCAB, normalizer=NORMALIZER
+        )
         original = model_module._format_block
         blocks = []
 
@@ -585,6 +589,16 @@ class TestCheckpoint:
             save_checkpoint(other, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    @pytest.mark.parametrize("missing", ["vocab", "normalizer"])
+    def test_save_without_vocab_or_normalizer_raises_and_writes_nothing(
+        self, tmp_path, missing
+    ):
+        parts = {"vocab": MIXED_SCRIPT_VOCAB, "normalizer": NORMALIZER, missing: None}
+        model = init_params(small_config(), seed=13, **parts)
+        with pytest.raises(UsageError, match=f"no {missing}"):
+            save_checkpoint(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_bit_identical(self, tmp_path):
         model, path = self.build(tmp_path)

@@ -1,5 +1,6 @@
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from depfuse.errors import ConfigError, UsageError
 from depfuse.features import default_scorer, extract_features, fit_normalizer
 from depfuse.model import ModelConfig, forward, init_params
 from depfuse.synth import SynthDatasetSpec, generate_dataset
-from depfuse.tensor import Tensor, tensor
+from depfuse.tensor import Tensor, gather_rows, mul, sum_all, tensor
 from depfuse.text import build_vocab
 from depfuse.train import (
     AdamState,
@@ -118,6 +119,7 @@ class TestAdam:
         state = AdamState.for_params(params)
         with pytest.raises(UsageError, match="no gradient"):
             adam_step(params, state, TrainConfig())
+        assert state.t == 0
 
     def test_zero_lr_is_bit_exact_identity(self):
         # train() validates lr > 0, but the raw update with lr = 0 must be a
@@ -162,6 +164,134 @@ class TestAdam:
     def test_lr_cannot_be_zero_in_training(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0).validate()
+
+
+def gather_backward(table, ids, weights):
+    """Real gather_rows backward: table's gradient gains weights[i] on row
+    ids[i], summed per distinct id."""
+    out = gather_rows(table, ids)
+    sum_all(mul(out, tensor(weights))).backward()
+
+
+def dense_backward(table, weights):
+    """A dense gradient through an op on the whole table."""
+    sum_all(mul(table, tensor(weights))).backward()
+
+
+class RowSparseAdam:
+    """One table stepped by adam_step next to the out-of-place oracle fed the
+    table's dense gradient, compared bit for bit after every step."""
+
+    def __init__(self, data):
+        self.params = {"table": Tensor(data, requires_grad=True)}
+        self.state = AdamState.for_params(self.params)
+        self.want = (data.copy(), np.zeros(data.shape), np.zeros(data.shape))
+
+    @property
+    def table(self):
+        return self.params["table"]
+
+    def step(self, lr=3e-3):
+        self.want = oracles.adam_out_of_place(
+            *self.want, self.table.grad.copy(), self.state.t + 1, lr=lr
+        )
+        adam_step(self.params, self.state, TrainConfig(learning_rate=lr))
+        got = (self.table.data, self.state.m["table"], self.state.v["table"])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in self.want]
+        self.table.zero_grad()
+        assert self.table.grad is None and self.table.grad_rows is None
+
+
+class TestRowSparseAdam:
+    def test_steps_equal_out_of_place_formula_bitwise(self):
+        rng = np.random.default_rng(23)
+        shape = (2100, 32)  # three of the update's row blocks
+        assert 2 * importlib.import_module("depfuse.train")._ADAM_BLOCK < shape[0] * shape[1]
+        run = RowSparseAdam(rng.normal(size=shape))
+        table = run.table
+
+        def weights(n):
+            return rng.normal(size=(n, shape[1])) * 10.0 ** rng.integers(-6, 3, size=(n, 1))
+
+        # A repeated id, rows in two blocks, and row 2050, which no later
+        # step touches while its moments decay.
+        gather_backward(table, [5, 5, 1030, 7, 2050], weights(5))
+        assert table.grad_rows.tolist() == [5, 7, 1030, 2050]
+        run.step()
+        # Two gathers on one table take the union of their rows.
+        gather_backward(table, [7, 9, 1500], weights(3))
+        gather_backward(table, [1500, 40, 7], weights(3))
+        assert table.grad_rows.tolist() == [7, 9, 40, 1500]
+        run.step()
+        # A dense gradient after a gather makes the whole table dense.
+        gather_backward(table, [3, 900], weights(2))
+        dense_backward(table, weights(shape[0]))
+        assert table.grad_rows is None
+        run.step()
+        # A gather after a dense gradient leaves it dense.
+        dense_backward(table, weights(shape[0]))
+        gather_backward(table, [11], weights(1))
+        assert table.grad_rows is None
+        run.step()
+        # Setting grad makes it dense, whatever the gathers listed.
+        gather_backward(table, [12, 13], weights(2))
+        assert table.grad_rows is not None
+        table.grad = weights(shape[0])
+        assert table.grad_rows is None
+        run.step()
+        # After zero_grad (in step()) a gather lists only its own rows. Row
+        # 2050 stays untouched for these three steps while its moments,
+        # nonzero since the dense steps, decay and still move the row.
+        for ids in ([0, 2099, 0], [1024, 1023], [600]):
+            before = table.data[2050].copy()
+            gather_backward(table, ids, weights(len(ids)))
+            assert table.grad_rows.tolist() == sorted(set(ids))
+            run.step()
+            assert (table.data[2050] != before).all()
+        assert run.state.t == 8
+
+    def test_every_row_touched_stays_exact(self):
+        rng = np.random.default_rng(4)
+        run = RowSparseAdam(rng.normal(size=(6, 3)))
+        for _ in range(5):
+            ids = list(rng.permutation(6)) + [2]
+            gather_backward(run.table, ids, rng.normal(size=(7, 3)))
+            assert run.table.grad_rows.size == 6
+            run.step()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["gather", "two_gathers", "gather_then_set"]),
+                st.lists(st.integers(0, 10), min_size=1, max_size=5),
+                st.lists(st.integers(0, 10), min_size=1, max_size=5),
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+                        st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+                    ),
+                    min_size=33,
+                    max_size=33,
+                ),
+            ),
+            min_size=5,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_signed_zero_and_subnormal_gradients_stay_exact(self, steps):
+        # Two rows per update block, so an 11 x 3 table spans six blocks.
+        with mock.patch.object(importlib.import_module("depfuse.train"), "_ADAM_BLOCK", 6):
+            run = RowSparseAdam(np.linspace(-1.0, 1.0, 33).reshape(11, 3))
+            for kind, first, second, values in steps:
+                pool = np.array(values)
+                gather_backward(run.table, first, pool[: len(first) * 3].reshape(-1, 3))
+                if kind == "two_gathers":
+                    gather_backward(run.table, second, pool[-len(second) * 3 :].reshape(-1, 3))
+                    assert run.table.grad_rows.tolist() == sorted(set(first) | set(second))
+                elif kind == "gather_then_set":
+                    run.table.grad = pool.reshape(11, 3)
+                run.step()
 
 
 def tiny_dataset(n_per_class=8, seed=1, max_len=32):
