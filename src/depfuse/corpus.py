@@ -131,6 +131,33 @@ def _check_int(value, name: str) -> int:
 
 
 def _tweet_from_obj(obj: dict, index: int) -> Tweet:
+    # One combined check accepts a well-formed tweet. JSON gives exact types,
+    # so `type(x) is int` rejects a bool as _check_int does. A tweet it does
+    # not accept goes through the field table, which names the first fault.
+    if type(obj) is dict:
+        get = obj.get
+        text, posting_time, has_images = get("text"), get("posting_time"), get("has_images")
+        likes, forwards, comments = get("num_likes"), get("num_forwards"), get("num_comments")
+        is_original = get("is_original")
+        if (
+            type(text) is str and type(posting_time) is str
+            and type(has_images) is bool and type(is_original) is bool
+            and type(likes) is int and type(forwards) is int and type(comments) is int
+            and likes >= 0 and forwards >= 0 and comments >= 0
+            and (has_images or text != "")
+        ):
+            try:
+                when = parse_posting_time(posting_time)
+            except ValueError:
+                pass
+            else:
+                return Tweet(text, when, has_images, likes, forwards, comments, is_original)
+    return _tweet_by_field_table(obj, index)
+
+
+def _tweet_by_field_table(obj: dict, index: int) -> Tweet:
+    """Each field in table order, then the timestamp, the counts and the
+    text; the first fault is the one raised."""
     if not isinstance(obj, dict):
         raise ValueError(f"tweet {index} is not an object")
     for name, typ in _TWEET_FIELDS:

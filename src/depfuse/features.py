@@ -47,16 +47,21 @@ N_FEATURES = len(FEATURE_NAMES)
 
 
 class SentimentScorer(Protocol):
-    """Deterministic, total map from any unicode string to negativity in [0, 1]."""
+    """Deterministic, total map from a tweet's tokens to negativity in [0, 1].
 
-    def score(self, text: str) -> float: ...
+    The tokens are ``text.tokenize`` of the tweet text, the same list the
+    tweet contributes to the user's token sequence; a tweet with empty text
+    gives an empty list."""
+
+    def score(self, tokens: Sequence[str]) -> float: ...
 
 
 class LexiconScorer:
     """Token-ratio negativity: lexicon hits / token count.
 
     Lexicon terms pass through the shared tokenizer when the scorer is built,
-    so a multi-character CJK entry matches its per-codepoint tokens.
+    so a multi-character CJK entry matches the per-codepoint tokens that a
+    tweet's CJK text gives.
     """
 
     def __init__(self, lexicon: Iterable[str]):
@@ -67,17 +72,15 @@ class LexiconScorer:
             raise ConfigError("lexicon is empty after tokenization")
         self.tokens = frozenset(terms)
 
-    def score(self, text: str) -> float:
-        return lexicon_score(text, self.tokens)
+    def score(self, tokens: Sequence[str]) -> float:
+        return lexicon_score(tokens, self.tokens)
 
 
-def lexicon_score(text: str, lexicon: Set[str]) -> float:
-    """hits / tokens for a pre-tokenized lexicon term set; empty text -> 0."""
-    tokens = tokenize(text)
+def lexicon_score(tokens: Sequence[str], lexicon: Set[str]) -> float:
+    """hits / tokens for a pre-tokenized lexicon term set; no tokens -> 0."""
     if not tokens:
         return 0.0
-    hits = sum(1 for t in tokens if t in lexicon)
-    return hits / len(tokens)
+    return sum(map(lexicon.__contains__, tokens)) / len(tokens)
 
 
 def load_lexicon(stream) -> Set[str]:
@@ -155,23 +158,24 @@ def check_threshold(threshold: float) -> None:
 
 
 def proportion_negative(
-    tweets: Sequence[Tweet],
+    tweet_tokens: Sequence[Sequence[str]],
     scorer: SentimentScorer,
     threshold: float = DEFAULT_NEGATIVITY_THRESHOLD,
 ) -> float:
-    """Fraction of tweets whose negativity score strictly exceeds threshold."""
+    """Fraction of tweets, given as their token lists, whose negativity score
+    strictly exceeds threshold."""
     check_threshold(threshold)
-    if not tweets:
+    if not tweet_tokens:
         return 0.0
     count = 0
-    for i, t in enumerate(tweets):
+    for i, tokens in enumerate(tweet_tokens):
         try:
-            value = scorer.score(t.text)
+            value = scorer.score(tokens)
         except Exception as exc:
             raise FeatureError(f"sentiment scorer failed on tweet {i}: {exc}") from exc
         if value > threshold:
             count += 1
-    return count / len(tweets)
+    return count / len(tweet_tokens)
 
 
 def image_frequency(tweets: Sequence[Tweet]) -> float:
@@ -180,21 +184,34 @@ def image_frequency(tweets: Sequence[Tweet]) -> float:
     return sum(1 for t in tweets if t.has_images) / len(tweets)
 
 
+def stat_features(
+    tweets: Sequence[Tweet],
+    tweet_tokens: Sequence[Sequence[str]],
+    scorer: SentimentScorer,
+    threshold: float = DEFAULT_NEGATIVITY_THRESHOLD,
+) -> StatFeatureVector:
+    """Compose the six statistics in their fixed order, from a timeline and
+    the ``tokenize`` token list of each of its tweets, in the same order."""
+    if not tweets:
+        return StatFeatureVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return StatFeatureVector(
+        p_original=proportion_original(tweets),
+        p_late_night=proportion_late_night(tweets),
+        posts_per_week=posts_per_week(tweets),
+        posting_time_sd=posting_time_sd(tweets),
+        p_negative=proportion_negative(tweet_tokens, scorer, threshold),
+        image_freq=image_frequency(tweets),
+    )
+
+
 def extract_features(
     user: UserRecord,
     scorer: SentimentScorer,
     threshold: float = DEFAULT_NEGATIVITY_THRESHOLD,
 ) -> StatFeatureVector:
-    """Compose the six statistics in their fixed order."""
-    if not user.tweets:
-        return StatFeatureVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return StatFeatureVector(
-        p_original=proportion_original(user.tweets),
-        p_late_night=proportion_late_night(user.tweets),
-        posts_per_week=posts_per_week(user.tweets),
-        posting_time_sd=posting_time_sd(user.tweets),
-        p_negative=proportion_negative(user.tweets, scorer, threshold),
-        image_freq=image_frequency(user.tweets),
+    """The six statistics of a user, tokenizing each tweet text afresh."""
+    return stat_features(
+        user.tweets, [tokenize(t.text) for t in user.tweets], scorer, threshold
     )
 
 

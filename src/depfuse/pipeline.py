@@ -28,7 +28,6 @@ from .features import (
     LexiconScorer,
     check_threshold,
     default_scorer,
-    extract_features,
     fit_normalizer,
     load_lexicon,
 )
@@ -48,7 +47,9 @@ from .train import (
     TrainHistory,
     evaluate,
     history_to_csv,
+    normalized_examples,
     prepare_examples,
+    read_record,
     train,
 )
 
@@ -173,14 +174,12 @@ def train_from_records(
         )
     vocab = build_vocab(train_records, min_freq=config.min_freq)
     scorer = make_scorer(config)
-    train_vectors = [
-        extract_features(r, scorer, config.threshold) for r in train_records
+    # One pass reads the training slice; its raw statistics fit the normalizer.
+    train_read = [
+        read_record(r, vocab, scorer, config.threshold, config.max_len) for r in train_records
     ]
-    normalizer = fit_normalizer(train_vectors)
-    train_set = prepare_examples(
-        train_records, vocab, normalizer, scorer, config.threshold, config.max_len,
-        vectors=train_vectors,
-    )
+    normalizer = fit_normalizer([raw for _sequence, raw in train_read])
+    train_set = normalized_examples(train_records, train_read, normalizer)
     val_set = prepare_examples(
         val_records, vocab, normalizer, scorer, config.threshold, config.max_len
     )

@@ -47,6 +47,7 @@ stack_rows, fold_rows and transpose pass on) is copied.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -203,7 +204,9 @@ def _node(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward: Backwar
     """The op's output; it records a node when any input is tracked. The
     backward closure must capture input nodes and arrays, never an input
     Tensor, so that the node keeps no value its backward does not read."""
-    if not np.isfinite(data).all():
+    # A finite sum means finite elements; only a non-finite sum, which an
+    # overflowing sum of finite elements also gives, needs the full check.
+    if not math.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NumericalError(f"{op} produced a non-finite value")
     out = Tensor(data)
     parents = tuple(t._node for t in inputs if t._node is not None)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from itertools import chain, repeat
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .corpus import UserRecord
 from .errors import ConfigError
@@ -48,12 +49,16 @@ def tokenize(text: str) -> List[str]:
     tokens: List[str] = []
     append, extend = tokens.append, tokens.extend
     for chunk in text.split():
-        if _find_cjk(chunk):
+        if chunk.isascii() or not _find_cjk(chunk):
+            append(chunk.lower())
+        elif chunk.lower() == chunk:
+            # Every codepoint lowercases to itself: only a sigma lowercases
+            # by context, and it never maps to itself.
+            extend(chunk)
+        else:
             # Per codepoint: str.lower() on the whole chunk would apply
             # final-sigma rules across the codepoints.
             extend(map(str.lower, chunk))
-        else:
-            append(chunk.lower())
     return tokens
 
 
@@ -104,23 +109,32 @@ class TokenSequence:
     true_len: int
 
 
-def build_user_sequence(user: UserRecord, vocab: Vocab, max_len: int) -> TokenSequence:
-    """Token stream: CLS, nickname tokens, SEP, profile tokens, SEP, then the
-    tweet texts in chronological order with SEP between consecutive tweets;
-    truncated to max_len and padded with PAD."""
+def build_user_sequence(
+    nickname: Sequence[str],
+    profile: Sequence[str],
+    tweets: Iterable[Sequence[str]],
+    vocab: Vocab,
+    max_len: int,
+) -> TokenSequence:
+    """Id sequence from the tokens of a user's texts (``tokenize`` of the
+    nickname, of the profile and of each tweet text, oldest tweet first):
+    CLS, nickname tokens, SEP, profile tokens, SEP, then the tweets with SEP
+    between consecutive tweets; truncated to max_len and padded with PAD.
+    Tokens past max_len are not looked up."""
     if max_len < 8:
         raise ConfigError(f"max_len must be >= 8, got {max_len}")
     encode = vocab.token_to_id.get
     ids: List[int] = [CLS]
-    ids.extend([encode(t, UNK) for t in tokenize(user.nickname)])
-    ids.append(SEP)
-    ids.extend([encode(t, UNK) for t in tokenize(user.profile)])
-    ids.append(SEP)
-    for i, tweet in enumerate(user.tweets):
-        if i > 0:
+    for i, tokens in enumerate(chain((nickname, profile), tweets)):
+        if i > 2:
             ids.append(SEP)
-        ids.extend([encode(t, UNK) for t in tokenize(tweet.text)])
-    ids = ids[:max_len]
+        room = max_len - len(ids)
+        if room <= 0:
+            break
+        ids.extend(map(encode, tokens[:room], repeat(UNK)))
+        if i < 2:
+            ids.append(SEP)
+    del ids[max_len:]
     true_len = len(ids)
     ids.extend([PAD] * (max_len - true_len))
     return TokenSequence(ids=tuple(ids), true_len=true_len)

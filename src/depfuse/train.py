@@ -23,13 +23,13 @@ from .features import (
     SentimentScorer,
     StatFeatureVector,
     apply_normalizer,
-    extract_features,
+    stat_features,
 )
 from .metrics import MetricsReport, evaluate_predictions
 from .model import FusionModel, ModelConfig, forward
 from .rng import STREAM_TRAIN, SplitMix64, derive_seed
 from .tensor import Tensor
-from .text import TokenSequence, Vocab, build_user_sequence
+from .text import TokenSequence, Vocab, build_user_sequence, tokenize
 
 # Elements per block of an Adam update (256 KiB of float64 per array).
 _ADAM_BLOCK = 1 << 15
@@ -197,6 +197,40 @@ class PreparedExample:
     label: int
 
 
+def read_record(
+    record: UserRecord,
+    vocab: Vocab,
+    scorer: SentimentScorer,
+    threshold: float,
+    max_len: int,
+) -> Tuple[TokenSequence, StatFeatureVector]:
+    """A record's token sequence and raw statistics from one tokenization of
+    each of its texts: a tweet's tokens feed both its part of the sequence
+    and its lexicon score."""
+    tweet_tokens = [tokenize(t.text) for t in record.tweets]
+    sequence = build_user_sequence(
+        tokenize(record.nickname), tokenize(record.profile), tweet_tokens, vocab, max_len
+    )
+    return sequence, stat_features(record.tweets, tweet_tokens, scorer, threshold)
+
+
+def normalized_examples(
+    records: Sequence[UserRecord],
+    read: Sequence[Tuple[TokenSequence, StatFeatureVector]],
+    normalizer: FeatureNormalizer,
+) -> List[PreparedExample]:
+    """Model inputs from records and their ``read_record`` results, in order."""
+    return [
+        PreparedExample(
+            user_id=record.user_id,
+            tokens=sequence,
+            stats=apply_normalizer(raw, normalizer),
+            label=record.label,
+        )
+        for record, (sequence, raw) in zip(records, read)
+    ]
+
+
 def prepare_examples(
     records: Sequence[UserRecord],
     vocab: Vocab,
@@ -204,24 +238,11 @@ def prepare_examples(
     scorer: SentimentScorer,
     threshold: float = DEFAULT_NEGATIVITY_THRESHOLD,
     max_len: int = ModelConfig.max_len,
-    vectors: Optional[Sequence[StatFeatureVector]] = None,
 ) -> List[PreparedExample]:
-    """Turn records into model inputs. Raw feature vectors already extracted
-    for the records, in the same order, may be passed as ``vectors`` so they
-    are not extracted again."""
-    if vectors is not None and len(vectors) != len(records):
-        raise UsageError(f"{len(vectors)} feature vectors for {len(records)} records")
-    out: List[PreparedExample] = []
-    for i, record in enumerate(records):
-        tokens = build_user_sequence(record, vocab, max_len)
-        raw = vectors[i] if vectors is not None else extract_features(record, scorer, threshold)
-        stats = apply_normalizer(raw, normalizer)
-        out.append(
-            PreparedExample(
-                user_id=record.user_id, tokens=tokens, stats=stats, label=record.label
-            )
-        )
-    return out
+    """Turn records into model inputs, tokenizing each text once
+    (``read_record``)."""
+    read = [read_record(r, vocab, scorer, threshold, max_len) for r in records]
+    return normalized_examples(records, read, normalizer)
 
 
 def predict_logits(model: FusionModel, examples: Sequence[PreparedExample]) -> np.ndarray:

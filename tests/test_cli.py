@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depfuse import cli
+from depfuse import cli, text
 from depfuse.cli import build_parser, main, parse_config_file
+from depfuse.corpus import SplitSpec, parse_corpus, split_dataset
 from depfuse.errors import ConfigError
+from depfuse.features import default_lexicon
 from depfuse.model import vocab_fingerprint
 from depfuse.pipeline import RunConfig
 
@@ -297,6 +300,70 @@ class TestPredict:
             prob = float(prob)
             assert 0.0 <= prob <= 1.0
             assert pred == ("1" if prob > 0.5 else "0")
+
+
+@pytest.fixture
+def tokenize_calls(monkeypatch):
+    """The text of every tokenize call, counted through each depfuse module's
+    binding of ``depfuse.text.tokenize``."""
+    original = text.tokenize
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    for name, module in list(sys.modules.items()):
+        if name == "depfuse" or name.startswith("depfuse."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def user_texts(records):
+    return Counter(
+        t for r in records for t in (r.nickname, r.profile, *(w.text for w in r.tweets))
+    )
+
+
+class TestTokenizeCalls:
+    """Each verb tokenizes every text it reads once; building the scorer
+    tokenizes each lexicon term once."""
+
+    @pytest.fixture
+    def records(self, corpus):
+        records, issues = parse_corpus(corpus.read_bytes())
+        assert issues == []
+        return records
+
+    def test_featurize_once_per_tweet(self, corpus, records, tmp_path, tokenize_calls):
+        assert main(["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "f.csv")]) == 0
+        tweets = Counter(w.text for r in records for w in r.tweets)
+        assert Counter(tokenize_calls) == tweets + Counter(default_lexicon())
+
+    @pytest.mark.parametrize("split", ["all", "validation"])
+    def test_eval_once_per_text(self, corpus, trained, records, split, tmp_path, tokenize_calls):
+        # --split validation rebuilds the vocabulary from the training slice
+        # and reads the validation slice: every user's texts, once.
+        argv = ["eval", "--checkpoint", str(trained / "checkpoint.json"),
+                "--corpus", str(corpus), "--split", split, "--seed", "7",
+                "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+        assert Counter(tokenize_calls) == user_texts(records) + Counter(default_lexicon())
+
+    def test_predict_once_per_text(self, corpus, trained, records, tmp_path, tokenize_calls):
+        argv = ["predict", "--checkpoint", str(trained / "checkpoint.json"),
+                "--corpus", str(corpus), "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 0
+        assert Counter(tokenize_calls) == user_texts(records) + Counter(default_lexicon())
+
+    def test_train_once_per_text_plus_vocabulary(self, corpus, records, tmp_path, tokenize_calls):
+        assert main(train_args(corpus, tmp_path / "run", ["--epochs", "1"])) == 0
+        train_records, _ = split_dataset(records, SplitSpec(ratio=0.8, seed=7))
+        assert Counter(tokenize_calls) == (
+            user_texts(train_records) + user_texts(records) + Counter(default_lexicon())
+        )
 
 
 class TestAblate:

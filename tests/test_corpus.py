@@ -190,6 +190,97 @@ class TestParse:
         assert len(issues) == 1 and "UTF-8" in issues[0].reason
 
 
+def _tweet(**changes):
+    """A valid tweet object with ``changes`` applied; a None value deletes the key."""
+    obj = {
+        "text": "hi",
+        "posting_time": "2020-03-02 08:00:00",
+        "has_images": False,
+        "num_likes": 1,
+        "num_forwards": 0,
+        "num_comments": 0,
+        "is_original": True,
+    }
+    for name, value in changes.items():
+        if value is None:
+            del obj[name]
+        else:
+            obj[name] = value
+    return obj
+
+
+_MISSING = [
+    (f"missing-{name}", _tweet(**{name: None}), f"tweet 1: missing field: {name}")
+    for name in ("text", "posting_time", "has_images", "num_likes", "num_forwards",
+                 "num_comments", "is_original")
+]
+
+# Every tweet-level reason, as the second tweet of a line gets it: the field
+# table is walked in its own order, then the timestamp, the counts and the
+# text are checked.
+TWEET_ISSUES = _MISSING + [
+    ("not-an-object", ["hi"], "tweet 1 is not an object"),
+    ("null", None, "tweet 1 is not an object"),
+    ("text-int", _tweet(text=5), "tweet 1: field text must be str"),
+    ("posting_time-int", _tweet(posting_time=20200302),
+     "tweet 1: field posting_time must be str"),
+    ("has_images-int", _tweet(has_images=1), "tweet 1: field has_images must be a boolean"),
+    ("num_likes-bool", _tweet(num_likes=True), "field tweet 1.num_likes must be an integer"),
+    ("num_forwards-str", _tweet(num_forwards="3"),
+     "field tweet 1.num_forwards must be an integer"),
+    ("num_comments-float", _tweet(num_comments=1.5),
+     "field tweet 1.num_comments must be an integer"),
+    ("is_original-int", _tweet(is_original=0), "tweet 1: field is_original must be a boolean"),
+    ("num_likes-negative", _tweet(num_likes=-1), "tweet 1: field num_likes must be >= 0"),
+    ("num_forwards-negative", _tweet(num_forwards=-1),
+     "tweet 1: field num_forwards must be >= 0"),
+    ("num_comments-negative", _tweet(num_comments=-2),
+     "tweet 1: field num_comments must be >= 0"),
+    ("empty-text", _tweet(text=""), "tweet 1: empty text on a tweet without images"),
+    ("malformed-time", _tweet(posting_time="2020/03/02 08:00"),
+     "tweet 1: bad posting_time: not in YYYY-MM-DD HH:MM:SS form: '2020/03/02 08:00'"),
+    ("out-of-range-time", _tweet(posting_time="2020-00-01 00:00:00"),
+     "tweet 1: bad posting_time: month must be in 1..12"),
+    ("non-ascii-digit-time", _tweet(posting_time="2020-0\u0661-01 00:00:00"),
+     "tweet 1: bad posting_time: time data '2020-0\u0661-01 00:00:00' does not match"
+     " format '%Y-%m-%d %H:%M:%S'"),
+    # Several faults at once: the first in that order is the one named.
+    ("type-before-missing", _tweet(text=5, is_original=None),
+     "tweet 1: field text must be str"),
+    ("time-before-counts-and-text", _tweet(posting_time="x", num_likes=-1, text=""),
+     "tweet 1: bad posting_time: not in YYYY-MM-DD HH:MM:SS form: 'x'"),
+    ("counts-before-text", _tweet(num_comments=-1, text=""),
+     "tweet 1: field num_comments must be >= 0"),
+]
+
+
+class TestTweetIssueReasons:
+    @pytest.mark.parametrize(
+        "tweet, reason", [c[1:] for c in TWEET_ISSUES], ids=[c[0] for c in TWEET_ISSUES]
+    )
+    def test_reason_is_pinned(self, tweet, reason):
+        line = valid_line(tweets=[_tweet(), tweet])
+        records, issues = parse_corpus(as_bytes(valid_line("a"), line))
+        assert [r.user_id for r in records] == ["a"]
+        assert issues == [ParseIssue(2, reason)]
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"text": "", "has_images": True}, {"posting_time": "2020-03-02 0\u0668:00:00"},
+         {"num_likes": 0, "num_forwards": 10**30}],
+        ids=["plain", "image-only", "non-ascii-digit", "big-count"],
+    )
+    def test_valid_tweet_accepted(self, changes):
+        records, issues = parse_corpus(as_bytes(valid_line(tweets=[_tweet(**changes)])))
+        assert issues == []
+        tweet = records[0].tweets[0]
+        assert tweet.posting_time == datetime(2020, 3, 2, 8, 0, 0)
+        assert (tweet.text, tweet.has_images) == (
+            changes.get("text", "hi"), changes.get("has_images", False)
+        )
+        assert tweet.num_forwards == changes.get("num_forwards", 0)
+
+
 times = st.datetimes(
     min_value=datetime(1990, 1, 1), max_value=datetime(2049, 12, 31)
 ).map(lambda d: d.replace(microsecond=0))

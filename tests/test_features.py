@@ -25,6 +25,7 @@ from depfuse.features import (
     proportion_original,
 )
 from depfuse.synth import SynthDatasetSpec, generate_dataset
+from depfuse.text import tokenize
 
 
 class ConstScorer:
@@ -32,14 +33,14 @@ class ConstScorer:
         self.value = value
         self.name = f"const-{value}"
 
-    def score(self, text):
+    def score(self, tokens):
         return self.value
 
 
 class BrokenScorer:
     name = "broken"
 
-    def score(self, text):
+    def score(self, tokens):
         raise RuntimeError("backend down")
 
 
@@ -110,22 +111,22 @@ class TestPostingTimeSd:
 
 class TestNegativeProportion:
     def test_constant_scorers(self):
-        tweets = [make_tweet(text=f"t{i}") for i in range(5)]
+        tweets = [[f"t{i}"] for i in range(5)]
         assert proportion_negative(tweets, ConstScorer(1.0)) == 1.0
         assert proportion_negative(tweets, ConstScorer(0.0)) == 0.0
         assert proportion_negative([], ConstScorer(1.0)) == 0.0
 
     def test_default_lexicon_example(self, tiny_user):
         scorer = default_scorer()
-        assert proportion_negative(tiny_user.tweets, scorer) == pytest.approx(0.5)
+        tokens = [tokenize(t.text) for t in tiny_user.tweets]
+        assert proportion_negative(tokens, scorer) == pytest.approx(0.5)
 
     def test_scorer_failure_names_tweet(self):
-        tweets = [make_tweet(), make_tweet()]
         with pytest.raises(FeatureError, match="tweet 0"):
-            proportion_negative(tweets, BrokenScorer())
+            proportion_negative([["hello"], ["world"]], BrokenScorer())
 
     def test_threshold_is_strict(self):
-        tweets = [make_tweet(text="x")]
+        tweets = [["x"]]
         assert proportion_negative(tweets, ConstScorer(0.5), threshold=0.5) == 0.0
         assert proportion_negative(tweets, ConstScorer(0.51), threshold=0.5) == 1.0
 
@@ -133,14 +134,14 @@ class TestNegativeProportion:
 class TestLexiconScore:
     def test_ratios(self):
         lex = {"bad", "worse"}
-        assert lexicon_score("", lex) == 0.0
-        assert lexicon_score("bad worse bad", lex) == 1.0
-        assert lexicon_score("one two three bad", lex) == pytest.approx(0.25)
+        assert lexicon_score([], lex) == 0.0
+        assert lexicon_score(["bad", "worse", "bad"], lex) == 1.0
+        assert lexicon_score(["one", "two", "three", "bad"], lex) == pytest.approx(0.25)
 
     def test_cjk_terms_match_codepoint_tokens(self):
         scorer = LexiconScorer(["孤独", "绝望"])
-        assert scorer.score("孤独 绝望") == 1.0
-        assert scorer.score("today is fine") == 0.0
+        assert scorer.score(tokenize("孤独 绝望")) == 1.0
+        assert scorer.score(tokenize("today is fine")) == 0.0
 
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ConfigError):

@@ -25,10 +25,16 @@ from depfuse.synth import (
     generate_dataset,
     generate_user,
 )
+from depfuse.text import tokenize
 
 
 def params_with(label_params):
     return SynthParams(normal=label_params, depressed=label_params)
+
+
+def p_negative(tweets):
+    """proportion_negative under the default scorer, each tweet tokenized."""
+    return proportion_negative([tokenize(t.text) for t in tweets], default_scorer())
 
 
 class TestGenerateUser:
@@ -40,12 +46,12 @@ class TestGenerateUser:
     def test_disjoint_pools_give_zero_negative(self):
         cp = ClassParams(0.2, 0.0, 0.5, 0.5)
         user = generate_user(0, params_with(cp), SplitMix64(4))
-        assert proportion_negative(user.tweets, default_scorer()) == 0.0
+        assert p_negative(user.tweets) == 0.0
 
     def test_all_negative_pool_saturates(self):
         cp = ClassParams(0.2, 1.0, 0.5, 0.5)
         user = generate_user(1, params_with(cp), SplitMix64(5))
-        assert proportion_negative(user.tweets, default_scorer()) == 1.0
+        assert p_negative(user.tweets) == 1.0
 
     def test_deterministic_for_fixed_seed(self):
         a = generate_user(1, DEFAULT_PARAMS, SplitMix64(99))
@@ -117,8 +123,9 @@ class TestSignalConvergence:
             (1, "original_rate", proportion_original),
             (0, "image_rate", image_frequency),
             (1, "image_rate", image_frequency),
-            (0, "negative_word_rate", lambda ts: proportion_negative(ts, default_scorer())),
-            (1, "negative_word_rate", lambda ts: proportion_negative(ts, default_scorer())),
+            # Lambdas keep these cases' ids.
+            (0, "negative_word_rate", lambda ts: p_negative(ts)),
+            (1, "negative_word_rate", lambda ts: p_negative(ts)),
         ],
     )
     def test_feature_means_within_three_binomial_sd(self, dataset, label, attr, feature):

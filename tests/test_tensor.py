@@ -147,6 +147,24 @@ class TestUsageErrors:
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             T.mul(big, big)
 
+    def test_finite_values_whose_sum_overflows_pass(self):
+        huge = np.full((3, 4), 1e308)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(huge.sum())
+            out = T.add(tensor(huge), tensor(np.zeros((3, 4))))
+        assert out.data.tobytes() == huge.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("fill", [1.5, 1e308], ids=["small", "huge"])
+    def test_non_finite_value_at_any_position_raises(self, bad, fill):
+        for position in np.ndindex(3, 4):
+            data = np.full((3, 4), fill)
+            data[position] = bad
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match="add produced a non-finite value"
+            ):
+                T.add(tensor(data), tensor(np.zeros((3, 4))))
+
 
 def op_cases(rng):
     """(name, params, make_loss) triples covering every differentiable op."""

@@ -9,10 +9,21 @@ from depfuse.text import (
     PAD,
     SEP,
     UNK,
-    build_user_sequence,
     build_vocab,
     tokenize,
 )
+from depfuse.text import build_user_sequence as build_from_tokens
+
+
+def build_user_sequence(user, vocab, max_len):
+    """The sequence of a record, each of its texts tokenized."""
+    return build_from_tokens(
+        tokenize(user.nickname),
+        tokenize(user.profile),
+        [tokenize(t.text) for t in user.tweets],
+        vocab,
+        max_len,
+    )
 
 
 # Half the characters are the codepoints on each side of every CJK range
@@ -173,3 +184,37 @@ class TestUserSequence:
         a = build_user_sequence(user, vocab, max_len=32)
         b = build_user_sequence(user, vocab, max_len=32)
         assert a == b
+
+
+def build_then_truncate(nickname, profile, tweets, vocab, max_len):
+    """The whole id stream of a user, cut to max_len afterwards."""
+    ids = [CLS] + [vocab.encode(t) for t in nickname] + [SEP]
+    ids += [vocab.encode(t) for t in profile] + [SEP]
+    for i, tokens in enumerate(tweets):
+        ids += ([SEP] if i else []) + [vocab.encode(t) for t in tokens]
+    ids = ids[:max_len]
+    return tuple(ids + [PAD] * (max_len - len(ids))), len(ids)
+
+
+token_lists = st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=6)
+
+
+class TestSequenceFromTokens:
+    @given(token_lists, token_lists, st.lists(token_lists, max_size=5), st.integers(8, 24))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_build_then_truncate(self, nickname, profile, tweets, max_len):
+        vocab = build_vocab([make_user(nickname="a b", profile="c")])
+        seq = build_from_tokens(nickname, profile, tweets, vocab, max_len)
+        assert (seq.ids, seq.true_len) == build_then_truncate(
+            nickname, profile, tweets, vocab, max_len
+        )
+
+    def test_tokens_past_max_len_are_not_looked_up(self):
+        vocab = build_vocab([make_user(nickname="a", profile="b")])
+        unhashable = [[]]  # a lookup of this token would raise TypeError
+        seq = build_from_tokens(
+            ["a"] * 3, ["b"] * 3 + unhashable, [unhashable * 4, unhashable], vocab, max_len=8
+        )
+        a, b = vocab.encode("a"), vocab.encode("b")
+        assert seq.ids == (CLS, a, a, a, SEP, b, b, b)
+        assert seq.true_len == 8

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import oracles
 from depfuse import pipeline
 from depfuse.errors import ConfigError, UsageError
-from depfuse.features import default_scorer, extract_features, fit_normalizer
+from depfuse.features import (
+    apply_normalizer,
+    default_scorer,
+    extract_features,
+    fit_normalizer,
+    stat_features,
+)
 from depfuse.model import ModelConfig, forward, init_params
 from depfuse.synth import SynthDatasetSpec, generate_dataset
 from depfuse.tensor import Tensor, gather_rows, mul, sum_all, tensor
@@ -463,30 +469,28 @@ class TestEvaluate:
 
 
 class TestPrepareExamples:
-    def test_given_vectors_match_extraction(self):
+    def test_stats_match_extract_features(self):
         records = generate_dataset(SynthDatasetSpec(n_per_class=3, seed=4))
         scorer = default_scorer()
         vocab = build_vocab(records)
         vectors = [extract_features(r, scorer) for r in records]
         normalizer = fit_normalizer(vectors)
-        given = prepare_examples(records, vocab, normalizer, scorer, vectors=vectors)
-        extracted = prepare_examples(records, vocab, normalizer, scorer)
-        assert [e.stats.tobytes() for e in given] == [e.stats.tobytes() for e in extracted]
-        with pytest.raises(UsageError, match="feature vectors"):
-            prepare_examples(records, vocab, normalizer, scorer, vectors=vectors[1:])
+        examples = prepare_examples(records, vocab, normalizer, scorer)
+        assert [e.stats.tobytes() for e in examples] == [
+            apply_normalizer(v, normalizer).tobytes() for v in vectors
+        ]
 
     def test_training_extracts_each_users_features_once(self, monkeypatch):
         records = generate_dataset(SynthDatasetSpec(n_per_class=4, seed=3))
         calls = []
 
-        def counting(record, *args, **kwargs):
-            calls.append(record.user_id)
-            return extract_features(record, *args, **kwargs)
+        def counting(tweets, *args, **kwargs):
+            calls.append(id(tweets))
+            return stat_features(tweets, *args, **kwargs)
 
-        for module in ("depfuse.pipeline", "depfuse.train"):
-            monkeypatch.setattr(importlib.import_module(module), "extract_features", counting)
+        monkeypatch.setattr(importlib.import_module("depfuse.train"), "stat_features", counting)
         pipeline.train_from_records(records, pipeline.RunConfig(epochs=1, max_len=16, d1=4))
-        assert sorted(calls) == sorted(r.user_id for r in records)
+        assert sorted(calls) == sorted(id(r.tweets) for r in records)
 
 
 class TestHistoryCsv:
