@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import BinaryIO, Iterable, List, Tuple, Union
+from typing import BinaryIO, Iterable, List, NamedTuple, Tuple, Union
 
 from .errors import ConfigError, DataFormatError
 from .rng import STREAM_SPLIT, SplitMix64, derive_seed
@@ -78,9 +78,10 @@ def format_posting_time(dt: datetime) -> str:
     return dt.strftime(_TIME_FORMAT)
 
 
-@dataclass(frozen=True)
-class Tweet:
-    """One post in a user's timeline."""
+class Tweet(NamedTuple):
+    """One post in a user's timeline. A NamedTuple, not a frozen dataclass:
+    parsing builds one per tweet, and a frozen dataclass's __init__, which
+    sets each field through object.__setattr__, costs several times more."""
 
     text: str
     posting_time: datetime

@@ -249,9 +249,11 @@ def encode_tokens(
 ) -> Tuple[Tensor, List[int]]:
     """Token rows of a batch, users stacked in order, and their segment
     bounds: user i owns rows [bounds[i], bounds[i+1]). Each row is embedding
-    plus positional, through any refinement blocks. PAD rows never enter the
-    computation: ids are cut at true_len first (an all-PAD sequence falls
-    back to the CLS row alone)."""
+    plus positional, through any refinement blocks: the embedding rows are
+    gathered by token id, and a user of n rows takes positional rows 0..n-1
+    (``tensor.prefix_rows``). PAD rows never enter the computation: ids are
+    cut at true_len first (an all-PAD sequence falls back to the CLS row
+    alone)."""
     cfg = model.config
     ids: List[int] = []
     lengths = []
@@ -262,9 +264,8 @@ def encode_tokens(
         ids.extend(item.ids[:length] if length > 0 else (CLS,))
         lengths.append(max(length, 1))
     bounds = _bounds(lengths)
-    positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
     emb = T.gather_rows(model.params["embedding"], ids)
-    x = T.add(emb, T.gather_rows(model.params["positional"], positions))
+    x = T.add(emb, T.prefix_rows(model.params["positional"], lengths))
     for i in range(cfg.refine_layers):
         x = _refine_block(model, x, i, bounds)
     return x, bounds
@@ -272,15 +273,16 @@ def encode_tokens(
 
 def encode_stats(model: FusionModel, stats: Sequence[np.ndarray]) -> Tensor:
     """Statistic rows of a batch: user i's normalized 6-vector gives rows
-    6i..6i+5, where row 6i+j is scale_j * value_j + bias_j."""
+    6i..6i+5, where row 6i+j is scale_j * value_j + bias_j. Each user takes
+    all six rows of ``stat_scale`` and ``stat_bias`` (``tensor.prefix_rows``)."""
     values = [np.asarray(s, dtype=np.float64).reshape(-1) for s in stats]
     for v in values:
         if v.shape[0] != N_FEATURES:
             raise DimensionError(f"expected {N_FEATURES} statistics, got {v.shape[0]}")
-    rows = np.tile(np.arange(N_FEATURES), len(values))
-    scale = T.gather_rows(model.params["stat_scale"], rows)
+    lengths = [N_FEATURES] * len(values)
+    scale = T.prefix_rows(model.params["stat_scale"], lengths)
     scaled = T.scale_rows(scale, np.concatenate(values))
-    return T.add(scaled, T.gather_rows(model.params["stat_bias"], rows))
+    return T.add(scaled, T.prefix_rows(model.params["stat_bias"], lengths))
 
 
 def attention_weights(layer: CrossAttentionLayer, x_query: Tensor, x_kv: Tensor) -> Tensor:

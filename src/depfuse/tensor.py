@@ -10,13 +10,17 @@ layernorm_rows) run once on the whole stack; the ops that must not mix
 users take the bounds: ``multihead_attention`` attends only within a
 segment, ``mean_rows`` pools each segment to one row, and ``fold_rows``
 folds each run of a fixed number of rows into one row.
-The embedding lookup (gather_rows) is row-sparse in backward: it adds into
-the table's gradient only the rows its ids touched, and the table-sized
-gradient array is allocated once per pass, not once per lookup. It also
-records those rows on the table's node (``Tensor.grad_rows``), the union
-over lookups, so the optimizer can skip the rows whose gradient is +0.0;
-any dense gradient, setting ``grad`` and ``zero_grad`` clear the record,
-and a cleared record means any row may be nonzero. Forward
+Two ops look rows up in a table. gather_rows takes rows by id (the
+embedding); its backward is one bincount over the table's cells, which
+sums each id's gradient rows in input order, as np.add.at into zeros
+does. prefix_rows takes rows 0..n-1 for each user (the positional and
+statistic tables); its backward adds each user's gradient slice into a
+zeroed table in user order. Each lookup's table-shaped gradient becomes
+the table's first gradient without a copy, and each records the rows it
+touched on the table's node (``Tensor.grad_rows``), the union over
+lookups, so the optimizer can skip the rows whose gradient is +0.0; any
+dense gradient, setting ``grad`` and ``zero_grad`` clear the record, and
+a cleared record means any row may be nonzero. Forward
 results are checked for NaN/Inf on every operation. Recorded tensors must
 not be mutated in place while their graph is alive; the optimizer mutates
 leaf parameters only between passes.
@@ -28,10 +32,11 @@ its inputs' nodes and exactly the arrays its backward reads: matmul both
 operands, relu its mask, layernorm_rows xhat, inv and the gain, add no
 array at all. So an op output that no backward reads is freed as soon as
 the caller drops its Tensor, during forward. Attention keeps no probability
-matrix, only its per-head copies of q, k and v and each (segment, head)
-pair's softmax row max and row sum, and recomputes the matrix from them in
-backward. Forward and backward each compute those matrices in scratch
-blocks that belong to the call and are reused from pair to pair.
+matrix, only its per-head blocks of q, k and v and the softmax row max and
+row sum of each group of segments with the same key count, and recomputes
+the matrices from them in backward. Forward and backward each compute
+those matrices in scratch blocks that belong to the call and are reused
+from group to group.
 
 Backward frees the graph as it consumes it, as PyTorch's autograd does
 without retain_graph (Paszke et al. 2019, arXiv 1912.01703). Once a node
@@ -65,8 +70,9 @@ class Node:
     them. It holds no value.
 
     ``rows`` is None while any row of the gradient may be nonzero ("dense").
-    Otherwise it is the sorted array of the only rows that gather_rows'
-    backward added into; every other row of the gradient is +0.0."""
+    Otherwise it is the sorted array of the only rows that the table
+    lookups' backwards (gather_rows, prefix_rows) added into; every other
+    row of the gradient is +0.0."""
 
     __slots__ = ("grad", "rows", "parents", "backward", "released")
 
@@ -88,16 +94,15 @@ class Node:
             self.grad += g
         self.rows = None
 
-    def accumulate_rows(self, rows: np.ndarray, sums: np.ndarray, shape: Shape) -> None:
-        """Add sums[i] into gradient row rows[i], rows sorted and distinct,
-        and record them: a first gradient lists exactly these rows, a listed
-        one takes the union, and a dense one stays dense."""
+    def accumulate_rows(self, rows: np.ndarray, g: np.ndarray) -> None:
+        """Add g, a table-shaped gradient that a lookup has just computed and
+        that is +0.0 outside the sorted, distinct ``rows``, and record those
+        rows: a first gradient is g itself and lists exactly these rows, a
+        listed one takes the union, and a dense one stays dense."""
         if self.grad is None:
-            self.grad = np.zeros(shape)
-            self.grad[rows] = sums
-            self.rows = rows
+            self.grad, self.rows = g, rows
         else:
-            self.grad[rows] += sums
+            self.grad += g
             if self.rows is not None:
                 self.rows = np.union1d(self.rows, rows)
 
@@ -439,20 +444,45 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise UsageError(
             f"gather_rows: id out of range [0, {table.shape[0]}): {int(idx.min())}..{int(idx.max())}"
         )
-    node, shape = table._node, table.shape
+    node, (rows, cols) = table._node, table.shape
 
     def backward(g: np.ndarray) -> None:
-        # Row-sparse: sum the gradient of each distinct id, then add only
-        # those rows. bincount adds its weights in input order starting from
-        # 0.0, so each row sum equals the dense np.add.at one bit for bit,
-        # and skipping untouched rows skips only additions of 0.0.
-        rows, inv = np.unique(idx, return_inverse=True)
-        cols = g.shape[1]
-        flat = (inv[:, None] * cols + np.arange(cols)).reshape(-1)
-        sums = np.bincount(flat, weights=g.reshape(-1), minlength=rows.size * cols)
-        node.accumulate_rows(rows, sums.reshape(rows.size, cols), shape)
+        # One bincount over the table's (row, column) cells. It adds its
+        # weights in input order starting from 0.0, so each cell equals the
+        # dense np.add.at into zeros bit for bit; the rows no id touched
+        # stay +0.0.
+        flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+        grad = np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols)
+        node.accumulate_rows(np.flatnonzero(np.bincount(idx)), grad.reshape(rows, cols))
 
     return _node("gather_rows", table.data[idx], (table,), backward)
+
+
+def prefix_rows(table: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Rows 0..n-1 of the table for each n in lengths, stacked in order: the
+    lookup of each user's positions, or of its statistic rows. Backward adds
+    each user's gradient slice into a zeroed table gradient in user order,
+    the per-row order and sums of the equivalent gather_rows, and lists rows
+    0..max(n)-1 as the ones it touched."""
+    sizes = [int(n) for n in lengths]
+    if not sizes:
+        raise UsageError("prefix_rows needs at least one length")
+    if min(sizes) < 1 or max(sizes) > table.shape[0]:
+        raise DimensionError(
+            f"prefix_rows: lengths must lie in [1, {table.shape[0]}], got {min(sizes)}..{max(sizes)}"
+        )
+    node, shape, touched = table._node, table.shape, max(sizes)
+
+    def backward(g: np.ndarray) -> None:
+        grad = np.zeros(shape)
+        start = 0
+        for n in sizes:
+            grad[:n] += g[start : start + n]
+            start += n
+        node.accumulate_rows(np.arange(touched), grad)
+
+    data = np.concatenate([table.data[:n] for n in sizes])
+    return _node("prefix_rows", data, (table,), backward)
 
 
 def fold_rows(a: Tensor, rows: int) -> Tensor:
@@ -474,28 +504,55 @@ def _block(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[: rows * cols].reshape(rows, cols)
 
 
+# The probability matrices of one attention group hold at most this many
+# elements, or as many as the largest single (query, key) segment pair.
+_GROUP_ELEMENTS = 1 << 15
+
+Pair = Tuple[int, int, int, int]  # query rows [q0, q1), key rows [k0, k1)
 RowStats = Tuple[np.ndarray, np.ndarray]
+# One pair under one head: its query rows, key rows and rows of the group's
+# probability block, then its q columns, k columns transposed and v columns,
+# each a contiguous view or copy.
+Part = Tuple[slice, slice, slice, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _groups(q_segs: List[Tuple[int, int]], kv_segs: List[Tuple[int, int]]) -> List[List[Pair]]:
+    """The segment pairs, split into runs of consecutive pairs with the same
+    key count whose matrices fit the group budget together."""
+    pairs = [(q0, q1, k0, k1) for (q0, q1), (k0, k1) in zip(q_segs, kv_segs)]
+    budget = max(_GROUP_ELEMENTS, *((q1 - q0) * (k1 - k0) for q0, q1, k0, k1 in pairs))
+    groups: List[List[Pair]] = []
+    size = keys = 0
+    for q0, q1, k0, k1 in pairs:
+        elements = (q1 - q0) * (k1 - k0)
+        if groups and k1 - k0 == keys and size + elements <= budget:
+            groups[-1].append((q0, q1, k0, k1))
+            size += elements
+        else:
+            groups.append([(q0, q1, k0, k1)])
+            size, keys = elements, k1 - k0
+    return groups
 
 
 def _probabilities(
-    qh: np.ndarray,
-    kt: np.ndarray,
-    factor: float,
-    out: np.ndarray,
-    stats: Optional[RowStats] = None,
-) -> Tuple[np.ndarray, RowStats]:
-    """softmax_rows((qh @ kt) * factor) computed in place in ``out``, with the
-    ops and order of softmax_rows, and its (row max, row sum). Given the
-    stats of an earlier call on the same operands, it takes no reduction and
-    gives that call's bits again."""
-    w = np.matmul(qh, kt, out=out)
-    w *= factor
-    top = w.max(axis=1, keepdims=True) if stats is None else stats[0]
-    w -= top
-    np.exp(w, out=w)
-    total = w.sum(axis=1, keepdims=True) if stats is None else stats[1]
-    w /= total
-    return w, (top, total)
+    parts: Sequence[Part], factor: float, out: np.ndarray, stats: Optional[RowStats] = None
+) -> RowStats:
+    """softmax_rows((qh @ kt) * factor) of each pair of a group, stacked in
+    place in ``out``, and its (row max, row sum). Each pair has its own
+    matmul; the scale, max, shift, exp, sum and divide of softmax_rows then
+    run once over the group, in softmax_rows' order. Each of them works row
+    by row, so a pair's rows get the bits they get alone. Given the stats of
+    an earlier call on the same operands, it takes no reduction and gives
+    that call's bits again."""
+    for _qr, _kr, wr, qh, kt, _vh in parts:
+        np.matmul(qh, kt, out=out[wr])
+    out *= factor
+    top = out.max(axis=1, keepdims=True) if stats is None else stats[0]
+    out -= top
+    np.exp(out, out=out)
+    total = out.sum(axis=1, keepdims=True) if stats is None else stats[1]
+    out /= total
+    return top, total
 
 
 def multihead_attention(
@@ -515,16 +572,24 @@ def multihead_attention(
     other's rows: the masking of Vaswani et al. 2017 (arXiv 1706.03762), done
     with bounds instead of padding. One node with an analytic backward.
 
-    Each segment and head works on fresh contiguous copies of its rows and
-    columns, in the same op order as the slice/transpose/matmul/softmax
-    composition, so values and gradients match that composition, run on the
-    segment alone, bit for bit.
+    Each segment and head works on contiguous blocks of its rows and
+    columns, copied unless they already are (one head), in the same op order
+    as the slice/transpose/matmul/softmax composition, so values and
+    gradients match that composition, run on the segment alone, bit for bit.
 
-    No (segment, head) pair allocates its own probability matrix. Forward
-    computes each one in place in a block over the front of one scratch
-    buffer per call, sized to the largest pair, and backward does the same in
-    a three-block work buffer of its own. A call keeps the small per-head
-    copies of q, k and v and, per pair, the softmax row max and row sum; the
+    Consecutive segment pairs with the same key count form a group, of at
+    most ``_GROUP_ELEMENTS`` probabilities or one pair. Per head, the
+    matmuls run pair by pair, each writing into its block of the output or
+    gradient, and the softmax's elementwise passes and row reductions, and
+    backward's, once over the group: the fusion attention's six keys per
+    user make one group per batch, and 256-row self-attention pairs stay
+    one pair each.
+
+    No group allocates its own probability matrix. Forward computes each
+    one in place in a block over the front of one scratch buffer per call,
+    sized to the largest group formed, and backward does the same in a
+    three-block work buffer of its own. A call keeps the per-head blocks of
+    q, k and v and, per group and head, the softmax row max and row sum; the
     FlashAttention saved statistic of Dao et al. 2022 (arXiv 2205.14135).
     Backward recomputes each matrix from them with the forward's own ops and
     operands, with no reduction (the trade of Chen et al. 2016, arXiv
@@ -549,38 +614,53 @@ def multihead_attention(
     dq, dv = width // heads, v.shape[1] // heads
     factor = 1.0 / np.sqrt(dq)
     cols = [(slice(h * dq, (h + 1) * dq), slice(h * dv, (h + 1) * dv)) for h in range(heads)]
-    biggest = max((q1 - q0) * (k1 - k0) for (q0, q1), (k0, k1) in zip(q_segs, kv_segs))
+    groups = _groups(q_segs, kv_segs)
+    biggest = max((g[-1][1] - g[0][0]) * (g[0][3] - g[0][2]) for g in groups)
     scratch = np.empty(biggest)
-    # Scoring records no graph, so it keeps no per-segment intermediates.
+    # Scoring records no graph, so it keeps no per-group intermediates.
     track = q.requires_grad or k.requires_grad or v.requires_grad
     inputs = ((q._node, q.shape), (k._node, k.shape), (v._node, v.shape))
     saved = []
     data = np.empty((q.shape[0], v.shape[1]))
-    for (q0, q1), (k0, k1) in zip(q_segs, kv_segs):
+    for group in groups:
+        base = group[0][0]
+        block = (group[-1][1] - base, group[0][3] - group[0][2])
+        w = _block(scratch, *block)
         for c, cv in cols:
-            qh = q.data[q0:q1, c].copy()
-            kt = k.data[k0:k1, c].T.copy()
-            vh = v.data[k0:k1, cv].copy()
-            w, stats = _probabilities(qh, kt, factor, _block(scratch, q1 - q0, k1 - k0))
-            data[q0:q1, cv] = w @ vh
+            parts = [
+                (
+                    slice(q0, q1),
+                    slice(k0, k1),
+                    slice(q0 - base, q1 - base),
+                    np.ascontiguousarray(q.data[q0:q1, c]),
+                    k.data[k0:k1, c].T.copy(),
+                    np.ascontiguousarray(v.data[k0:k1, cv]),
+                )
+                for q0, q1, k0, k1 in group
+            ]
+            stats = _probabilities(parts, factor, w)
+            for qr, _kr, wr, _qh, _kt, vh in parts:
+                np.matmul(w[wr], vh, out=data[qr, cv])
             if track:
-                saved.append((q0, q1, k0, k1, c, cv, qh, kt, vh, stats))
+                saved.append((c, cv, block, parts, stats))
 
     def backward(g: np.ndarray) -> None:
         gq, gk, gv = (np.empty(shape) for _, shape in inputs)
         work = np.empty((3, biggest))
-        for q0, q1, k0, k1, c, cv, qh, kt, vh, stats in saved:
-            rows, keys = q1 - q0, k1 - k0
-            w, _ = _probabilities(qh, kt, factor, _block(work[0], rows, keys), stats)
-            gh = g[q0:q1, cv].copy()
-            gw = np.matmul(gh, vh.T, out=_block(work[1], rows, keys))
-            gv[k0:k1, cv] = w.T @ gh
+        for c, cv, block, parts, stats in saved:
+            w, gw, products = (_block(buf, *block) for buf in work)
+            _probabilities(parts, factor, w, stats)
+            for qr, kr, wr, _qh, _kt, vh in parts:
+                gh = np.ascontiguousarray(g[qr, cv])
+                np.matmul(gh, vh.T, out=gw[wr])
+                np.matmul(w[wr].T, gh, out=gv[kr, cv])
             # gw becomes w * (gw - (gw * w).sum(axis=1)) * factor, op by op.
-            gw -= np.multiply(gw, w, out=_block(work[2], rows, keys)).sum(axis=1, keepdims=True)
+            gw -= np.multiply(gw, w, out=products).sum(axis=1, keepdims=True)
             gw *= w
             gw *= factor
-            gq[q0:q1, c] = gw @ kt.T
-            gk[k0:k1, c] = (qh.T @ gw).T
+            for qr, kr, wr, qh, kt, _vh in parts:
+                np.matmul(gw[wr], kt.T, out=gq[qr, c])
+                gk[kr, c] = (qh.T @ gw[wr]).T
         for (node, _), gt in zip(inputs, (gq, gk, gv)):
             if node is not None:
                 node.accumulate(gt, fresh=True)

@@ -237,6 +237,9 @@ def op_cases(rng):
     ids = [0, 3, 3, 5]
     case("gather_rows", [gt], (4, 4), lambda: T.gather_rows(gt, ids))
 
+    pr = leaf(rng, 5, 3)
+    case("prefix_rows", [pr], (9, 3), lambda: T.prefix_rows(pr, [3, 5, 1]))
+
     fo = leaf(rng, 6, 2)
     case("fold_rows", [fo], (2, 6), lambda: T.fold_rows(fo, 3))
 
@@ -333,22 +336,33 @@ def test_multihead_attention_shape_errors():
         T.multihead_attention(a, tensor(np.zeros((3, 2))), a, 2)
 
 
+# 24 segments of 256 rows over six keys fill more than one softmax group
+# (T._GROUP_ELEMENTS), then a segment over seven keys breaks the run and two
+# more over six start a new one.
+GROUPED_Q_LENS = [256] * 24 + [3, 256, 1]
+GROUPED_KV_LENS = [6] * 24 + [7, 6, 6]
+
+
 @pytest.mark.parametrize(
-    "heads, kv_lens",
+    "heads, q_lens, kv_lens",
     [
-        pytest.param(heads, kv_lens, id=f"{kind}{heads}")
-        for kind, kv_lens in (("", [6, 255, 1, 256]), ("fusion-", [6, 6, 6, 6]))
+        pytest.param(heads, q_lens, kv_lens, id=f"{kind}{heads}")
+        for kind, q_lens, kv_lens in (
+            ("", [1, 255, 37, 256], [6, 255, 1, 256]),
+            ("fusion-", [1, 255, 37, 256], [6, 6, 6, 6]),
+            ("groups-", GROUPED_Q_LENS, GROUPED_KV_LENS),
+        )
         for heads in (1, 4)
     ],
 )
-def test_segmented_ops_match_each_segment_alone_bitwise(heads, kv_lens):
+def test_segmented_ops_match_each_segment_alone_bitwise(heads, q_lens, kv_lens):
     # Segment lengths 1, 255 and 37 after a 256 at an unaligned offset: each
     # segment must see only its own rows and round as it would alone, and
     # backward must recompute the forward's probabilities bit for bit, for
     # long key segments and for six keys per segment, as in the fusion
-    # attention over the statistic rows.
+    # attention over the statistic rows, whose segments share one softmax
+    # group. The grouped layout forms several groups of six-key segments.
     rng = np.random.default_rng(heads)
-    q_lens = [1, 255, 37, 256]
     q_bounds, kv_bounds = ([0, *np.cumsum(n).tolist()] for n in (q_lens, kv_lens))
     arrays = [rng.normal(size=(n, 32)) for n in (q_bounds[-1], kv_bounds[-1], kv_bounds[-1])]
     upstream = rng.normal(size=(q_bounds[-1], 32))
@@ -589,3 +603,55 @@ class TestSoftmaxProperties:
         base = T.softmax_rows(tensor(data)).data
         shifted = T.softmax_rows(tensor(data + shift)).data
         np.testing.assert_allclose(base, shifted, atol=1e-12)
+
+
+def test_attention_groups_break_at_the_budget_and_at_a_key_count_change():
+    q_bounds, kv_bounds = ([0, *np.cumsum(n).tolist()] for n in (GROUPED_Q_LENS, GROUPED_KV_LENS))
+    groups = T._groups(list(zip(q_bounds, q_bounds[1:])), list(zip(kv_bounds, kv_bounds[1:])))
+    per_group = T._GROUP_ELEMENTS // (256 * 6)
+    assert [len(g) for g in groups] == [per_group, 24 - per_group, 1, 2]
+    assert [g[0][3] - g[0][2] for g in groups] == [6, 6, 7, 6]
+    # A pair larger than the budget is a group of its own, and so is its
+    # neighbour of the same size.
+    assert [len(g) for g in T._groups([(0, 256), (256, 512)], [(0, 256), (256, 512)])] == [1, 1]
+
+
+def test_prefix_rows_backward_equals_dense_add_at_bitwise():
+    # Per lookup, np.add.at into zeros with each user's positions 0..n-1;
+    # a second lookup into the same table adds in backward's order, which
+    # here is the forward order. Negative zeros upstream check that no -0.0
+    # reaches a row whose sum is zero.
+    rng = np.random.default_rng(22)
+    rows, cols = 9, 4
+    lookups = [[3, 7, 1, 7], [2, 9]]
+    upstream = []
+    for lengths in lookups:
+        g = rng.normal(size=(sum(lengths), cols)) * 10.0 ** rng.integers(-3, 4, size=(sum(lengths), 1))
+        g[rng.random(size=g.shape) < 0.3] = -0.0
+        upstream.append(g)
+    table = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
+    first = T.sum_all(T.mul(T.prefix_rows(table, lookups[0]), Tensor(upstream[0])))
+    first.backward()
+    assert table.grad_rows.tolist() == list(range(7))
+    want = np.zeros((rows, cols))
+    ids = [np.concatenate([np.arange(n) for n in lengths]) for lengths in lookups]
+    np.add.at(want, ids[0], upstream[0])
+    assert table.grad.tobytes() == want.tobytes()
+    assert not (np.signbit(table.grad) & (table.grad == 0.0)).any()
+
+    out = T.prefix_rows(table, lookups[1])
+    np.testing.assert_array_equal(out.data, table.data[ids[1]])
+    T.sum_all(T.mul(out, Tensor(upstream[1]))).backward()
+    assert table.grad_rows.tolist() == list(range(9))
+    second = np.zeros((rows, cols))
+    np.add.at(second, ids[1], upstream[1])
+    assert table.grad.tobytes() == (want + second).tobytes()
+
+
+def test_prefix_rows_length_errors():
+    table = tensor(np.zeros((4, 2)))
+    for lengths in ([0], [2, 0, 3], [5], [4, 5]):
+        with pytest.raises(DimensionError, match="prefix_rows"):
+            T.prefix_rows(table, lengths)
+    with pytest.raises(UsageError):
+        T.prefix_rows(table, [])
