@@ -26,7 +26,7 @@ from .errors import ConfigError, DataFormatError, DimensionError, UsageError
 from .features import N_FEATURES, FeatureNormalizer
 from .rng import STREAM_INIT, SplitMix64, derive_seed
 from .tensor import Tensor
-from .text import CLS, N_SPECIALS, TokenSequence, Vocab
+from .text import CLS, N_SPECIALS, TokenSequence, Vocab, check_max_len
 
 FUSION_MODES = ("cross_attention", "concat")
 VALUE_PROJECTIONS = ("shared_with_key", "separate")
@@ -75,8 +75,7 @@ class ModelConfig:
             )
         if self.vocab_size < N_SPECIALS:
             raise ConfigError(f"vocab_size must cover the specials, got {self.vocab_size}")
-        if self.max_len < 8:
-            raise ConfigError(f"max_len must be >= 8, got {self.max_len}")
+        check_max_len(self.max_len)
 
     def fused_width(self) -> int:
         """Input width of the MLP head, determined by the fusion mode."""

@@ -15,12 +15,11 @@ embedding); its backward is one bincount over the table's cells, which
 sums each id's gradient rows in input order, as np.add.at into zeros
 does. prefix_rows takes rows 0..n-1 for each user (the positional and
 statistic tables); its backward adds each user's gradient slice into a
-zeroed table in user order. Each lookup's table-shaped gradient becomes
-the table's first gradient without a copy, and each records the rows it
-touched on the table's node (``Tensor.grad_rows``), the union over
-lookups, so the optimizer can skip the rows whose gradient is +0.0; any
-dense gradient, setting ``grad`` and ``zero_grad`` clear the record, and
-a cleared record means any row may be nonzero. Forward
+zeroed table in user order. Each lookup records the rows it touched on
+the table's node (``Tensor.grad_rows``), the union over lookups, so the
+optimizer can skip the rows whose gradient is +0.0; any dense gradient,
+setting ``grad`` and ``zero_grad`` clear the record, and a cleared record
+means any row may be nonzero. Forward
 results are checked for NaN/Inf on every operation. Recorded tensors must
 not be mutated in place while their graph is alive; the optimizer mutates
 leaf parameters only between passes.
@@ -44,10 +43,14 @@ has passed its gradient on to its parents, it is released: its gradient,
 its closure with the arrays the closure read, and its parent links are
 dropped. So a spent graph holds nothing but the leaves' gradients, even
 while the caller still holds its root, and a later backward that reaches a
-released node raises UsageError. A gradient that an op has just computed
-becomes its parent's first gradient without a copy; one that aliases the
-upstream gradient (add's pass-through, the views that concat_cols,
-stack_rows, fold_rows and transpose pass on) is copied.
+released node raises UsageError.
+
+Gradient arrays are values that nothing writes into once they are made, so
+they may be shared between tensors. A node adopts its first gradient as it
+is, even when it is the upstream gradient itself (add's pass-through) or a
+view of it (concat_cols, stack_rows, fold_rows, transpose), and sums each
+later one into a new array. Callers replace a gradient, never modify it in
+place.
 """
 
 from __future__ import annotations
@@ -69,6 +72,10 @@ class Node:
     nodes of its tracked inputs and the closure that passes a gradient on to
     them. It holds no value.
 
+    A gradient array is a value: once made, nothing writes into it. A node's
+    gradient may be the very array, or a view of it, that another node holds,
+    and a later gradient replaces it with a new sum (see accumulate).
+
     ``rows`` is None while any row of the gradient may be nonzero ("dense").
     Otherwise it is the sorted array of the only rows that the table
     lookups' backwards (gather_rows, prefix_rows) added into; every other
@@ -83,28 +90,19 @@ class Node:
         self.backward = backward
         self.released = False
 
-    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add g into the gradient. A first gradient is kept as it is when
-        ``fresh`` says the op has just computed g and nothing else holds it;
-        any other one is copied, because later gradients add into it in
-        place. The gradient is dense afterwards."""
-        if self.grad is None:
-            self.grad = g if fresh else g.copy()
-        else:
-            self.grad += g
-        self.rows = None
-
-    def accumulate_rows(self, rows: np.ndarray, g: np.ndarray) -> None:
-        """Add g, a table-shaped gradient that a lookup has just computed and
-        that is +0.0 outside the sorted, distinct ``rows``, and record those
-        rows: a first gradient is g itself and lists exactly these rows, a
-        listed one takes the union, and a dense one stays dense."""
+    def accumulate(self, g: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
+        """Add g into the gradient, the only way a gradient enters a node.
+        The first g is adopted as it is, whoever else holds it; each later
+        one is summed out of place. ``rows``, when given, are the sorted,
+        distinct rows outside which g is +0.0: the record is their union
+        while every arrival lists its rows, and dense after one that does
+        not."""
         if self.grad is None:
             self.grad, self.rows = g, rows
-        else:
-            self.grad += g
-            if self.rows is not None:
-                self.rows = np.union1d(self.rows, rows)
+            return
+        self.grad = self.grad + g
+        if self.rows is not None:
+            self.rows = None if rows is None else np.union1d(self.rows, rows)
 
 
 class Tensor:
@@ -131,6 +129,9 @@ class Tensor:
 
     @property
     def grad(self) -> Optional[np.ndarray]:
+        """d(root)/d(self) after backward, or None. The array may be shared
+        with other tensors' gradients: replace it, never modify it in place.
+        An array assigned here is never written into either."""
         return None if self._node is None else self._node.grad
 
     @grad.setter
@@ -190,7 +191,7 @@ class Tensor:
             for parent in node.parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        root.accumulate(np.ones((1, 1)), fresh=True)
+        root.accumulate(np.ones((1, 1)))
         for node in reversed(order):
             if not node.parents:
                 continue
@@ -255,9 +256,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if na is not None:
-            na.accumulate(g @ w.T, fresh=True)
+            na.accumulate(g @ w.T)
         if nb is not None:
-            nb.accumulate(x.T @ g, fresh=True)
+            nb.accumulate(x.T @ g)
 
     return _node("matmul", x @ w, (a, b), backward)
 
@@ -285,9 +286,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if na is not None:
-            na.accumulate(_reduce_to(g * y, x.shape), fresh=True)
+            na.accumulate(_reduce_to(g * y, x.shape))
         if nb is not None:
-            nb.accumulate(_reduce_to(g * x, y.shape), fresh=True)
+            nb.accumulate(_reduce_to(g * x, y.shape))
 
     return _node("mul", x * y, (a, b), backward)
 
@@ -296,7 +297,7 @@ def relu(a: Tensor) -> Tensor:
     node, mask = a._node, a.data > 0
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(g * mask, fresh=True)
+        node.accumulate(g * mask)
 
     return _node("relu", np.where(mask, a.data, 0.0), (a,), backward)
 
@@ -310,7 +311,7 @@ def softmax_rows(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         inner = (g * s).sum(axis=1, keepdims=True)
-        node.accumulate(s * (g - inner), fresh=True)
+        node.accumulate(s * (g - inner))
 
     return _node("softmax_rows", s, (a,), backward)
 
@@ -319,7 +320,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     node = a._node
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(g * factor, fresh=True)
+        node.accumulate(g * factor)
 
     return _node("scale", a.data * factor, (a,), backward)
 
@@ -332,7 +333,7 @@ def scale_rows(a: Tensor, factors: np.ndarray) -> Tensor:
     node = a._node
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(g * col, fresh=True)
+        node.accumulate(g * col)
 
     return _node("scale_rows", a.data * col, (a,), backward)
 
@@ -348,7 +349,7 @@ def mean_rows(a: Tensor, bounds: Bounds = None) -> Tensor:
     node = a._node
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(np.repeat(g / counts[:, None], counts, axis=0), fresh=True)
+        node.accumulate(np.repeat(g / counts[:, None], counts, axis=0))
 
     return _node("mean_rows", data, (a,), backward)
 
@@ -357,7 +358,7 @@ def sum_all(a: Tensor) -> Tensor:
     node, shape = a._node, a.shape
 
     def backward(g: np.ndarray) -> None:
-        node.accumulate(np.full(shape, g[0, 0]), fresh=True)
+        node.accumulate(np.full(shape, g[0, 0]))
 
     return _node("sum_all", np.array([[a.data.sum()]]), (a,), backward)
 
@@ -417,7 +418,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         buf = np.zeros(shape)
         buf[start:stop] = g
-        node.accumulate(buf, fresh=True)
+        node.accumulate(buf)
 
     return _node("slice_rows", a.data[start:stop].copy(), (a,), backward)
 
@@ -430,7 +431,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         buf = np.zeros(shape)
         buf[:, start:stop] = g
-        node.accumulate(buf, fresh=True)
+        node.accumulate(buf)
 
     return _node("slice_cols", a.data[:, start:stop].copy(), (a,), backward)
 
@@ -453,7 +454,7 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         # stay +0.0.
         flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
         grad = np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols)
-        node.accumulate_rows(np.flatnonzero(np.bincount(idx)), grad.reshape(rows, cols))
+        node.accumulate(grad.reshape(rows, cols), np.flatnonzero(np.bincount(idx)))
 
     return _node("gather_rows", table.data[idx], (table,), backward)
 
@@ -479,7 +480,7 @@ def prefix_rows(table: Tensor, lengths: Sequence[int]) -> Tensor:
         for n in sizes:
             grad[:n] += g[start : start + n]
             start += n
-        node.accumulate_rows(np.arange(touched), grad)
+        node.accumulate(grad, np.arange(touched))
 
     data = np.concatenate([table.data[:n] for n in sizes])
     return _node("prefix_rows", data, (table,), backward)
@@ -663,7 +664,7 @@ def multihead_attention(
                 gk[kr, c] = (qh.T @ gw[wr]).T
         for (node, _), gt in zip(inputs, (gq, gk, gv)):
             if node is not None:
-                node.accumulate(gt, fresh=True)
+                node.accumulate(gt)
 
     return _node("multihead_attention", data, (q, k, v), backward)
 
@@ -684,13 +685,13 @@ def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> 
 
     def backward(g: np.ndarray) -> None:
         if ngain is not None:
-            ngain.accumulate((g * xhat).sum(axis=0, keepdims=True), fresh=True)
+            ngain.accumulate((g * xhat).sum(axis=0, keepdims=True))
         if nbias is not None:
-            nbias.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
+            nbias.accumulate(g.sum(axis=0, keepdims=True))
         if nx is not None:
             gh = g * gamma
             term = gh - gh.sum(axis=1, keepdims=True) / c
             term -= xhat * ((gh * xhat).sum(axis=1, keepdims=True) / c)
-            nx.accumulate(inv * term, fresh=True)
+            nx.accumulate(inv * term)
 
     return _node("layernorm_rows", data, (x, gain, bias), backward)

@@ -81,6 +81,11 @@ def check_min_freq(min_freq: int) -> None:
         raise ConfigError(f"min_freq must be >= 1, got {min_freq}")
 
 
+def check_max_len(max_len: int) -> None:
+    if max_len < 8:
+        raise ConfigError(f"max_len must be >= 8, got {max_len}")
+
+
 def build_vocab(records: Iterable[UserRecord], min_freq: int = DEFAULT_MIN_FREQ) -> Vocab:
     """Count tokens over nicknames, profiles and tweet texts; keep tokens with
     frequency >= min_freq. Ids are assigned from 4 in descending-frequency
@@ -121,8 +126,7 @@ def build_user_sequence(
     CLS, nickname tokens, SEP, profile tokens, SEP, then the tweets with SEP
     between consecutive tweets; truncated to max_len and padded with PAD.
     Tokens past max_len are not looked up."""
-    if max_len < 8:
-        raise ConfigError(f"max_len must be >= 8, got {max_len}")
+    check_max_len(max_len)
     encode = vocab.token_to_id.get
     ids: List[int] = [CLS]
     for i, tokens in enumerate(chain((nickname, profile), tweets)):

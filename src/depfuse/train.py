@@ -113,7 +113,7 @@ def cross_entropy_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         onehot = np.zeros_like(softmax)
         onehot[rows, label_arr] = 1.0
-        node.accumulate(g[0, 0] * (softmax - onehot) / label_arr.shape[0], fresh=True)
+        node.accumulate(g[0, 0] * (softmax - onehot) / label_arr.shape[0])
 
     return T._node("cross_entropy", np.array([[losses.mean()]]), (logits,), backward)
 
@@ -122,10 +122,8 @@ def adam_step(
     params: Dict[str, Tensor], state: AdamState, config: TrainConfig
 ) -> None:
     """One Adam update with bias correction. The moments and the parameters
-    are updated in place, a block of rows at a time, so that each block's
-    arrays stay in cache across the update's dozen passes and the only
-    temporaries are two block-sized scratch arrays. Every elementwise op
-    keeps the operands and the order of
+    are updated in place, and every elementwise op keeps the operands and
+    the order of
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -133,18 +131,18 @@ def adam_step(
 
     so the values equal that out-of-place formula bit for bit.
 
-    A parameter whose gradient lists its nonzero rows (``Tensor.grad_rows``,
-    set by the embedding lookup's backward) and leaves some row out takes
-    the row-sparse path: one pass over the table scales every row's m and v
-    by b1 and b2, the gradient terms are added on the listed rows alone,
-    and the blocked loop runs the bias-corrected update over every row.
-    This is still dense Adam, not a lazy variant, and it gives the same
-    bits. An unlisted row's gradient is +0.0, so the skipped terms are
-    g * (1 - b1) = +0.0 and (g * (1 - b2)) * g = +0.0, and adding +0.0
-    changes x only when x is -0.0. m and v never are: they start at +0.0,
-    a sum is -0.0 only when both of its terms are, and b1 * m rounds to
-    -0.0 only when m is -0.0 (b1 and b2 are above 1/2, so even the smallest
-    subnormal keeps its magnitude)."""
+    One pass over each parameter scales every row's m and v by b1 and b2.
+    The gradient terms are then added on the rows the gradient lists
+    (``Tensor.grad_rows``, set by the table lookups' backwards), or on every
+    row when it lists none. A blocked loop runs the bias-corrected update
+    over every row, so that each block's arrays stay in cache across its
+    passes. This is dense Adam, not a lazy variant: an unlisted row's
+    gradient is +0.0, so the skipped terms are g * (1 - b1) = +0.0 and
+    (g * (1 - b2)) * g = +0.0, and adding +0.0 changes x only when x is
+    -0.0. m and v never are: they start at +0.0, a sum is -0.0 only when
+    both of its terms are, and b1 * m rounds to -0.0 only when m is -0.0
+    (b1 and b2 are above 1/2, so even the smallest subnormal keeps its
+    magnitude)."""
     for name, p in params.items():
         if p.grad is None:
             raise UsageError(f"parameter {name} has no gradient; run backward first")
@@ -153,15 +151,15 @@ def adam_step(
     b1, b2 = BETA1, BETA2
     for name, p in params.items():
         listed = p.grad_rows
-        sparse = listed is not None and listed.size < p.shape[0]
-        if sparse:
-            m, v, g = state.m[name], state.v[name], p.grad[listed]
-            m *= b1
-            m[listed] += g * (1.0 - b1)
-            g_sq = g * (1.0 - b2)
-            g_sq *= g
-            v *= b2
-            v[listed] += g_sq
+        if listed is None or listed.size == p.shape[0]:
+            listed = slice(None)
+        m, v, g = state.m[name], state.v[name], p.grad[listed]
+        m *= b1
+        m[listed] += g * (1.0 - b1)
+        g_sq = g * (1.0 - b2)
+        g_sq *= g
+        v *= b2
+        v[listed] += g_sq
         rows = max(1, _ADAM_BLOCK // p.shape[1])
         # Each block allocates its own two temporaries. One pair per call,
         # held across it, left the heap top free at its end, and the trims
@@ -169,18 +167,7 @@ def adam_step(
         for start in range(0, p.shape[0], rows):
             block = slice(start, start + rows)
             w, m, v = p.data[block], state.m[name][block], state.v[name][block]
-            if sparse:
-                step = np.divide(m, 1.0 - b1**t)
-            else:
-                g = p.grad[block]
-                step = np.multiply(g, 1.0 - b1)
-                m *= b1
-                m += step
-                np.multiply(g, 1.0 - b2, out=step)
-                step *= g
-                v *= b2
-                v += step
-                np.divide(m, 1.0 - b1**t, out=step)
+            step = np.divide(m, 1.0 - b1**t)
             denom = np.divide(v, 1.0 - b2**t)
             np.sqrt(denom, out=denom)
             denom += EPSILON

@@ -494,9 +494,10 @@ def test_backward_through_a_released_node_raises_and_keeps_leaf_gradients():
 @pytest.mark.parametrize("op", ["add", "concat_cols"])
 def test_aliased_gradients_are_copied_not_adopted(op):
     # add passes its upstream gradient to both operands, and concat_cols a
-    # view of it to each. Had x or u adopted such an array, x's second share
-    # would add into the array w holds as its gradient, and a leaf would hold
-    # a view that keeps its op's whole gradient alive.
+    # view of it to each. A node adopts its first gradient as it is, shared
+    # or not, and sums each later one into a new array. So x's second share
+    # leaves the array w holds as its gradient unchanged, and x ends up with
+    # its own sum, not a view that keeps its op's whole gradient alive.
     rng = np.random.default_rng(11)
     x = leaf(rng, 3, 2)
     doubled = T.add(x, x) if op == "add" else T.concat_cols(x, x)
@@ -508,6 +509,27 @@ def test_aliased_gradients_are_copied_not_adopted(op):
     want = 2 * c if op == "add" else c[:, :2] + c[:, 2:]
     np.testing.assert_array_equal(x.grad, want)
     assert x.grad.flags.owndata and w.grad.flags.owndata
+
+
+def test_an_assigned_gradient_is_never_written_into():
+    rng = np.random.default_rng(12)
+    x = leaf(rng, 2, 2)
+    mine = np.zeros((2, 2))
+    x.grad = mine
+    T.sum_all(T.scale(x, 3.0)).backward()
+    assert mine.tobytes() == np.zeros((2, 2)).tobytes()
+    np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0))
+
+
+def test_add_shares_its_gradient_and_a_later_sum_leaves_the_share_alone():
+    rng = np.random.default_rng(13)
+    a, b = leaf(rng, 3, 2), leaf(rng, 3, 2)
+    T.sum_all(T.add(a, b)).backward()
+    assert a.grad is b.grad
+    shared = b.grad.tobytes()
+    T.sum_all(T.scale(a, 2.0)).backward()
+    assert b.grad.tobytes() == shared
+    np.testing.assert_array_equal(a.grad, np.full((3, 2), 3.0))
 
 
 def test_fold_rows_is_row_major():
