@@ -1,5 +1,10 @@
 import inspect
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -416,6 +421,125 @@ def test_attention_graphs_alive_together_match_fresh_runs_bitwise(kv_lens):
             assert got.grad.tobytes() == want.grad.tobytes()
 
 
+def segmented_attention_case(rng, heads, q_lens, kv_lens):
+    """q, k, v leaves, bounds and an upstream array for one attention call."""
+    q_bounds, kv_bounds = ([0, *np.cumsum(n).tolist()] for n in (q_lens, kv_lens))
+    q, k, v = (Tensor(rng.normal(size=(n, 32)), requires_grad=True)
+               for n in (q_bounds[-1], kv_bounds[-1], kv_bounds[-1]))
+    return (q, k, v, heads, q_bounds, kv_bounds), rng.normal(size=(q_bounds[-1], 32))
+
+
+@pytest.mark.parametrize(
+    "heads, q_lens, kv_lens",
+    [
+        pytest.param(4, [1, 255, 37, 256], [1, 255, 37, 256], id="segments4"),
+        pytest.param(1, GROUPED_Q_LENS, GROUPED_KV_LENS, id="groups1"),
+    ],
+)
+def test_attention_bytes_do_not_depend_on_the_worker_count(monkeypatch, heads, q_lens, kv_lens):
+    # Every call with two or more units runs them on threads here, three
+    # workers being more than this host may have cores, and the interpreter
+    # switches threads as often as it can, so that a unit taken twice or
+    # never shows in the count of softmax passes. Two graphs are alive at
+    # once and their backwards run in reverse order, and every thread a call
+    # starts has ended when it returns.
+    monkeypatch.setattr(T, "_THREAD_ELEMENTS", 0)
+    started, passes = [], []
+    start, probabilities = threading.Thread.start, T._probabilities
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+    monkeypatch.setattr(T, "_probabilities", lambda *a: (passes.append(1), probabilities(*a))[1])
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(T, "_cores", lambda: workers)
+            started.clear()
+            passes.clear()
+            rng = np.random.default_rng(31)
+            before = threading.active_count()
+            graphs = []
+            for _ in range(2):
+                args, upstream = segmented_attention_case(rng, heads, q_lens, kv_lens)
+                out = T.multihead_attention(*args)
+                graphs.append((out, args[:3], T.sum_all(T.mul(out, Tensor(upstream)))))
+                assert threading.active_count() == before
+            for _out, _leaves, loss in reversed(graphs):
+                loss.backward()
+                assert threading.active_count() == before
+            assert len(started) == 4 * (workers - 1)
+            units = len(T._groups(*(list(zip(b, b[1:])) for b in args[4:]))) * heads
+            assert len(passes) == 4 * units
+            results[workers] = [
+                array.tobytes()
+                for out, leaves, _loss in graphs
+                for array in (out.data, *(leaf.grad for leaf in leaves))
+            ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1] == results[2] == results[3]
+
+
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_an_exception_in_an_attention_worker_reaches_the_caller(monkeypatch, phase):
+    monkeypatch.setattr(T, "_THREAD_ELEMENTS", 0)
+    monkeypatch.setattr(T, "_cores", lambda: 2)
+    rng = np.random.default_rng(32)
+    args, upstream = segmented_attention_case(rng, 4, [64] * 4, [64] * 4)
+    loss = T.sum_all(T.mul(T.multihead_attention(*args), Tensor(upstream))) if phase == "backward" else None
+    caller, raised = threading.get_ident(), threading.Event()
+    probabilities = T._probabilities
+
+    def fail_in_a_worker(*a, **kw):
+        # The caller waits until a worker has raised, so that the worker is
+        # sure to take a unit before the caller has taken them all.
+        if threading.get_ident() != caller:
+            raised.set()
+            raise RuntimeError("worker failed")
+        raised.wait(timeout=30)
+        return probabilities(*a, **kw)
+
+    monkeypatch.setattr(T, "_probabilities", fail_in_a_worker)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        if loss is None:
+            T.multihead_attention(*args)
+        else:
+            loss.backward()
+    assert raised.is_set()
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="os.fork is exercised on Linux")
+def test_attention_runs_in_a_child_forked_after_threaded_attention(monkeypatch):
+    # Threads live only inside a call, so a child forked afterwards starts
+    # its own; a pool kept between calls would leave the child a pool whose
+    # threads the fork did not copy, and its first call would hang.
+    monkeypatch.setattr(T, "_THREAD_ELEMENTS", 0)
+    monkeypatch.setattr(T, "_cores", lambda: 2)
+    rng = np.random.default_rng(33)
+    args, upstream = segmented_attention_case(rng, 4, [64] * 4, [64] * 4)
+    want = T.multihead_attention(*args).data.tobytes()
+    pid = os.fork()
+    if pid == 0:  # the child: exit at once, without running pytest's teardown
+        code = 1
+        try:
+            code = 0 if T.multihead_attention(*args).data.tobytes() == want else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's attention call did not return within 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
     # b feeds the loss along two paths, so its gradient must be whole before
     # it is passed on and dropped.
@@ -519,6 +643,21 @@ def test_an_assigned_gradient_is_never_written_into():
     T.sum_all(T.scale(x, 3.0)).backward()
     assert mine.tobytes() == np.zeros((2, 2)).tobytes()
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0))
+
+
+def test_a_mis_shaped_gradient_is_refused():
+    # Adam would broadcast a (1, 2) gradient over every row of a (5, 2)
+    # parameter; a 1-D array has no rows at all.
+    rng = np.random.default_rng(14)
+    x = leaf(rng, 5, 2)
+    for value in (np.ones((1, 2)), np.ones(2), np.ones((2, 5)), np.ones((5, 2, 1))):
+        with pytest.raises(DimensionError, match=r"\(5, 2\)"):
+            x.grad = value
+        assert x.grad is None
+    x.grad = np.ones((5, 2))
+    assert x.grad.shape == (5, 2)
+    x.grad = None
+    assert x.grad is None
 
 
 def test_add_shares_its_gradient_and_a_later_sum_leaves_the_share_alone():
