@@ -34,9 +34,10 @@ the caller drops its Tensor, during forward. Attention keeps no probability
 matrix, only its per-head blocks of q, k and v and the softmax row max and
 row sum of each group of segments with the same key count, and recomputes
 the matrices from them in backward. Each group under each head is a unit
-that writes memory no other unit writes, so a large call runs its units
-on one worker per usable core, the caller and threads started and joined
-inside the call, with the same bytes as on one thread. Each worker
+that writes memory no other unit writes, so while numpy's BLAS runs one
+thread a large call runs its units on one worker per usable core, the
+caller and threads started and joined inside the call, with the same bytes
+as on one thread. Each worker
 computes the matrices in scratch blocks of its own, reused from unit to
 unit.
 
@@ -58,6 +59,9 @@ place.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -518,13 +522,15 @@ def _block(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
 # The probability matrices of one attention group hold at most this many
 # elements, or as many as the largest single (query, key) segment pair.
 _GROUP_ELEMENTS = 1 << 15
-# An attention call runs its units on threads when it has two or more and
-# its segment pairs average at least this many probabilities (a 181 x 181
-# pair). Each pair costs the interpreter a fixed number of numpy calls, and
-# threads hand the interpreter lock to each other at every one. On a 2-core
-# host with one BLAS thread, forward and backward of 8 n x n pairs under 4
-# heads ran on two threads at 0.75x the speed of one at n = 64, 1.05x at
-# 128, 1.35x at 181 and 1.55x at 256.
+# An attention call runs its units on threads when it has two or more, its
+# segment pairs average at least this many probabilities (a 181 x 181 pair)
+# and numpy's BLAS runs one thread. Each pair costs the interpreter a fixed
+# number of numpy calls, and threads hand the interpreter lock to each other
+# at every one. On a 2-core host with one BLAS thread, forward and backward
+# of 8 n x n pairs under 4 heads ran on two threads at 0.75x the speed of one
+# at n = 64, 1.05x at 128, 1.35x at 181 and 1.55x at 256. With OpenBLAS at
+# two threads, which starts its own threads on 256-row products, 256-row
+# pairs ran at 0.93x and `depfuse train --refine-layers 2` took 20% longer.
 _THREAD_ELEMENTS = 1 << 15
 
 Pair = Tuple[int, int, int, int]  # query rows [q0, q1), key rows [k0, k1)
@@ -535,6 +541,14 @@ RowStats = Tuple[np.ndarray, np.ndarray]
 Part = Tuple[slice, slice, slice, np.ndarray, np.ndarray, np.ndarray]
 Unit = TypeVar("Unit")
 Result = TypeVar("Result")
+# OpenBLAS's thread-count query under the names its builds export: numpy's
+# wheels carry a build with a prefix or a 64-bit-integer suffix or both.
+_BLAS_THREAD_QUERIES = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
 
 
 def _cores() -> int:
@@ -545,6 +559,32 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=1)
+def _blas_thread_query() -> Optional[Callable[[], int]]:
+    """OpenBLAS's thread-count query, found among the libraries numpy's core
+    module links, or None where numpy's BLAS is not OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in _BLAS_THREAD_QUERIES:
+        query = getattr(lib, name, None)
+        if query is not None:
+            return query
+    return None
+
+
+def _blas_threads() -> Optional[int]:
+    """The number of threads numpy's BLAS runs a product on, or None where
+    that cannot be read."""
+    query = _blas_thread_query()
+    return None if query is None else query()
+
+
 def _run_units(
     task: Callable[[Unit, np.ndarray], Result], units: Sequence[Unit], buffers: List[np.ndarray]
 ) -> List[Result]:
@@ -552,11 +592,17 @@ def _run_units(
     each passing its own buffer to every unit it takes.
 
     With two or more buffers, the workers are the caller and threads started
-    here and joined before this returns. Each takes the next unit not yet
-    taken. The first exception a unit raises stops the workers from taking
+    here and joined before this returns, each thread in a copy of the
+    caller's context, so numpy's error settings hold on every worker. Each
+    worker takes the next unit not yet taken, so a thread that cannot be
+    started leaves its share to the others. The first exception a unit raises stops the workers from taking
     more units and is raised here once every thread has joined. The units
     must write disjoint memory. The caller allocates the buffers, so that a
     thread's allocator arena holds only the small arrays its units make."""
+    # One worker runs the units in a plain loop. Taking them under the lock
+    # instead made `--fusion-query stats`-shaped calls (6 query rows against
+    # 40-256 keys per user, one unit per user) 0.5-1.3% slower for 8 users
+    # forward and backward and 0.7-2.6% for 64 users forward, on one core.
     if len(buffers) < 2:
         return [task(unit, buffers[0]) for unit in units]
     results: List[Result] = [None] * len(units)  # type: ignore[list-item]
@@ -578,8 +624,14 @@ def _run_units(
     threads = []
     try:
         for buf in buffers[1:]:
-            threads.append(threading.Thread(target=drain, args=(buf,), name="depfuse-attention"))
-            threads[-1].start()
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(drain, buf), name="depfuse-attention"
+            )
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: the workers running take its share
+                break
+            threads.append(thread)
         drain(buffers[0])
     finally:
         for thread in threads:
@@ -661,8 +713,9 @@ def multihead_attention(
     One group under one head is a unit. A unit reads only its own blocks and
     writes rows and columns of the output (forward) or of the q, k and v
     gradients (backward) that no other unit writes, so forward and backward
-    each run their units in any order, on threads (see _run_units), and give
-    the same bytes for any worker count.
+    each run their units in any order, on threads (see _run_units and
+    _THREAD_ELEMENTS for when), and give the same bytes for any worker
+    count.
 
     No group allocates its own probability matrix. Forward computes each
     one in place in a block over the front of a scratch buffer, sized to the
@@ -697,7 +750,9 @@ def multihead_attention(
     sizes = [(g[-1][1] - g[0][0]) * (g[0][3] - g[0][2]) for g in groups]
     biggest = max(sizes)
     units = [(group, c, cv) for group in groups for c, cv in cols]
-    threaded = len(units) > 1 and sum(sizes) >= _THREAD_ELEMENTS * len(q_segs)
+    threaded = (
+        len(units) > 1 and sum(sizes) >= _THREAD_ELEMENTS * len(q_segs) and _blas_threads() == 1
+    )
     workers = min(_cores(), len(units)) if threaded else 1
     scratch = [np.empty(biggest) for _ in range(workers)]
     # Scoring records no graph, so it keeps no per-unit intermediates.

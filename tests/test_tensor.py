@@ -2,9 +2,11 @@ import inspect
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -429,6 +431,14 @@ def segmented_attention_case(rng, heads, q_lens, kv_lens):
     return (q, k, v, heads, q_bounds, kv_bounds), rng.normal(size=(q_bounds[-1], 32))
 
 
+def split_every_call(monkeypatch, workers=2):
+    """Run every attention call with two or more units on this many workers,
+    as when numpy's BLAS runs one thread."""
+    monkeypatch.setattr(T, "_THREAD_ELEMENTS", 0)
+    monkeypatch.setattr(T, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(T, "_cores", lambda: workers)
+
+
 @pytest.mark.parametrize(
     "heads, q_lens, kv_lens",
     [
@@ -443,7 +453,6 @@ def test_attention_bytes_do_not_depend_on_the_worker_count(monkeypatch, heads, q
     # never shows in the count of softmax passes. Two graphs are alive at
     # once and their backwards run in reverse order, and every thread a call
     # starts has ended when it returns.
-    monkeypatch.setattr(T, "_THREAD_ELEMENTS", 0)
     started, passes = [], []
     start, probabilities = threading.Thread.start, T._probabilities
     monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
@@ -453,7 +462,7 @@ def test_attention_bytes_do_not_depend_on_the_worker_count(monkeypatch, heads, q
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(T, "_cores", lambda: workers)
+            split_every_call(monkeypatch, workers)
             started.clear()
             passes.clear()
             rng = np.random.default_rng(31)
@@ -482,8 +491,7 @@ def test_attention_bytes_do_not_depend_on_the_worker_count(monkeypatch, heads, q
 
 @pytest.mark.parametrize("phase", ["forward", "backward"])
 def test_an_exception_in_an_attention_worker_reaches_the_caller(monkeypatch, phase):
-    monkeypatch.setattr(T, "_THREAD_ELEMENTS", 0)
-    monkeypatch.setattr(T, "_cores", lambda: 2)
+    split_every_call(monkeypatch)
     rng = np.random.default_rng(32)
     args, upstream = segmented_attention_case(rng, 4, [64] * 4, [64] * 4)
     loss = T.sum_all(T.mul(T.multihead_attention(*args), Tensor(upstream))) if phase == "backward" else None
@@ -510,13 +518,72 @@ def test_an_exception_in_an_attention_worker_reaches_the_caller(monkeypatch, pha
     assert threading.active_count() == before
 
 
+def test_attention_workers_keep_the_callers_numpy_error_settings(monkeypatch):
+    # Scores of 1e400 overflow, and the softmax of infinite scores is
+    # invalid. The caller silences both, and so must every worker: the
+    # non-finite output is then reported once, as an error.
+    split_every_call(monkeypatch)
+    rng = np.random.default_rng(34)
+    args, _upstream = segmented_attention_case(rng, 4, [64] * 4, [64] * 4)
+    for leaf_ in args[:2]:
+        leaf_.data[:] = 1e200
+    threads = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (threads.append(t), start(t)))
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="non-finite"):
+            T.multihead_attention(*args)
+    assert len(threads) == 1
+    assert [str(w.message) for w in caught] == []
+
+
+def test_attention_runs_its_units_on_the_caller_when_no_thread_starts(monkeypatch):
+    split_every_call(monkeypatch, workers=3)
+    args, upstream = segmented_attention_case(np.random.default_rng(35), 4, [64] * 4, [64] * 4)
+    want = T.multihead_attention(*args)
+    T.sum_all(T.mul(want, Tensor(upstream))).backward()
+    want = [a.tobytes() for a in (want.data, *(leaf_.grad for leaf_ in args[:3]))]
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    args, upstream = segmented_attention_case(np.random.default_rng(35), 4, [64] * 4, [64] * 4)
+    got = T.multihead_attention(*args)
+    T.sum_all(T.mul(got, Tensor(upstream))).backward()
+    assert [a.tobytes() for a in (got.data, *(leaf_.grad for leaf_ in args[:3]))] == want
+
+
+@pytest.mark.parametrize("blas_threads", [2, None])
+def test_attention_stays_on_the_caller_unless_blas_runs_one_thread(monkeypatch, blas_threads):
+    # A BLAS that runs threads of its own, or one whose thread count cannot
+    # be read, keeps every call inline however large it is.
+    split_every_call(monkeypatch)
+    monkeypatch.setattr(T, "_blas_threads", lambda: blas_threads)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+    args, upstream = segmented_attention_case(np.random.default_rng(36), 4, [256] * 2, [256] * 2)
+    T.sum_all(T.mul(T.multihead_attention(*args), Tensor(upstream))).backward()
+    assert started == []
+
+
+def test_blas_threads_reads_the_thread_count_openblas_was_given():
+    if T._blas_threads() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    code = "from depfuse import tensor; print(tensor._blas_threads())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="os.fork is exercised on Linux")
 def test_attention_runs_in_a_child_forked_after_threaded_attention(monkeypatch):
     # Threads live only inside a call, so a child forked afterwards starts
     # its own; a pool kept between calls would leave the child a pool whose
     # threads the fork did not copy, and its first call would hang.
-    monkeypatch.setattr(T, "_THREAD_ELEMENTS", 0)
-    monkeypatch.setattr(T, "_cores", lambda: 2)
+    split_every_call(monkeypatch)
     rng = np.random.default_rng(33)
     args, upstream = segmented_attention_case(rng, 4, [64] * 4, [64] * 4)
     want = T.multihead_attention(*args).data.tobytes()
