@@ -504,10 +504,9 @@ def load_checkpoint(path: Union[str, Path]) -> FusionModel:
         raise DataFormatError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataFormatError(f"checkpoint {path} is not a JSON object")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataFormatError(
-            f"unsupported checkpoint version {payload.get('version')!r} in {path}"
-        )
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise DataFormatError(f"unsupported checkpoint version {version!r} in {path}")
     config = _config_from(payload.get("config"))
     vocab = _vocab_from(payload.get("vocab"), config.vocab_size)
     if payload.get("vocab_sha256") != vocab_fingerprint(vocab):

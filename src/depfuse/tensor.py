@@ -17,12 +17,12 @@ does. prefix_rows takes rows 0..n-1 for each user (the positional and
 statistic tables); its backward adds each user's gradient slice into a
 zeroed table in user order. Each lookup records the rows it touched on
 the table's node (``Tensor.grad_rows``), the union over lookups, so the
-optimizer can skip the rows whose gradient is +0.0; any dense gradient,
-setting ``grad`` and ``zero_grad`` clear the record, and a cleared record
-means any row may be nonzero. Forward
-results are checked for NaN/Inf on every operation. Recorded tensors must
-not be mutated in place while their graph is alive; the optimizer mutates
-leaf parameters only between passes.
+optimizer can skip the rows whose gradient is +0.0; any dense gradient and
+``zero_grad`` clear the record, and a cleared record means any row may be
+nonzero. Forward results are checked for NaN/Inf on every operation. Op
+outputs and gradients are read-only arrays, so tensors may share them and
+a write into one raises ValueError; only leaves stay writable, for the
+optimizer to update between passes.
 
 A graph keeps only what its backward reads. The record of an op is a Node:
 its gradient, its parents' nodes and its backward closure. A Tensor holds
@@ -48,13 +48,6 @@ its closure with the arrays the closure read, and its parent links are
 dropped. So a spent graph holds nothing but the leaves' gradients, even
 while the caller still holds its root, and a later backward that reaches a
 released node raises UsageError.
-
-Gradient arrays are values that nothing writes into once they are made, so
-they may be shared between tensors. A node adopts its first gradient as it
-is, even when it is the upstream gradient itself (add's pass-through) or a
-view of it (concat_cols, stack_rows, fold_rows, transpose), and sums each
-later one into a new array. Callers replace a gradient, never modify it in
-place.
 """
 
 from __future__ import annotations
@@ -81,10 +74,6 @@ class Node:
     nodes of its tracked inputs and the closure that passes a gradient on to
     them. It holds no value.
 
-    A gradient array is a value: once made, nothing writes into it. A node's
-    gradient may be the very array, or a view of it, that another node holds,
-    and a later gradient replaces it with a new sum (see accumulate).
-
     ``rows`` is None while any row of the gradient may be nonzero ("dense").
     Otherwise it is the sorted array of the only rows that the table
     lookups' backwards (gather_rows, prefix_rows) added into; every other
@@ -101,17 +90,20 @@ class Node:
 
     def accumulate(self, g: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
         """Add g into the gradient, the only way a gradient enters a node.
-        The first g is adopted as it is, whoever else holds it; each later
-        one is summed out of place. ``rows``, when given, are the sorted,
-        distinct rows outside which g is +0.0: the record is their union
-        while every arrival lists its rows, and dense after one that does
-        not."""
+        The first g is adopted as it is, even the upstream gradient itself
+        (add's pass-through) or a view of it (concat_cols, stack_rows,
+        fold_rows, transpose); each later one is summed into a new array.
+        Either way the gradient is made read-only. ``rows``, when given, are
+        the sorted, distinct rows outside which g is +0.0: the record is
+        their union while every arrival lists its rows, and dense after one
+        that does not."""
         if self.grad is None:
             self.grad, self.rows = g, rows
-            return
-        self.grad = self.grad + g
-        if self.rows is not None:
-            self.rows = None if rows is None else np.union1d(self.rows, rows)
+        else:
+            self.grad = self.grad + g
+            if self.rows is not None:
+                self.rows = None if rows is None else np.union1d(self.rows, rows)
+        self.grad.setflags(write=False)
 
 
 class Tensor:
@@ -138,22 +130,9 @@ class Tensor:
 
     @property
     def grad(self) -> Optional[np.ndarray]:
-        """d(root)/d(self) after backward, or None. The array may be shared
-        with other tensors' gradients: replace it, never modify it in place.
-        An array assigned here must have the tensor's shape, and is never
-        written into either."""
+        """d(root)/d(self) after backward, or None: a read-only array that
+        other tensors' gradients may share."""
         return None if self._node is None else self._node.grad
-
-    @grad.setter
-    def grad(self, value: Optional[np.ndarray]) -> None:
-        if self._node is None:
-            raise UsageError("grad is set only on gradient-tracked tensors")
-        if value is not None and np.shape(value) != self.shape:
-            raise DimensionError(
-                f"grad of shape {np.shape(value)} assigned to a tensor of shape {self.shape}"
-            )
-        self._node.grad = value
-        self._node.rows = None
 
     @property
     def grad_rows(self) -> Optional[np.ndarray]:
@@ -221,14 +200,16 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def _node(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward: Backward) -> Tensor:
-    """The op's output; it records a node when any input is tracked. The
-    backward closure must capture input nodes and arrays, never an input
-    Tensor, so that the node keeps no value its backward does not read."""
+    """The op's output, read-only; it records a node when any input is
+    tracked. The backward closure must capture input nodes and arrays, never
+    an input Tensor, so that the node keeps no value its backward does not
+    read."""
     # A finite sum means finite elements; only a non-finite sum, which an
     # overflowing sum of finite elements also gives, needs the full check.
     if not math.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NumericalError(f"{op} produced a non-finite value")
     out = Tensor(data)
+    out.data.setflags(write=False)
     parents = tuple(t._node for t in inputs if t._node is not None)
     if parents:
         out._node = Node(parents, backward)
@@ -511,7 +492,7 @@ def fold_rows(a: Tensor, rows: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         node.accumulate(g.reshape(r, c))
 
-    return _node("fold_rows", a.data.reshape(r // rows, rows * c).copy(), (a,), backward)
+    return _node("fold_rows", a.data.reshape(r // rows, rows * c), (a,), backward)
 
 
 def _block(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -249,7 +249,7 @@ def predict_logits(model: FusionModel, examples: Sequence[PreparedExample]) -> n
     for start in range(0, len(examples), chunk):
         batch = examples[start : start + chunk]
         logits = forward(model, [(e.tokens, e.stats) for e in batch])
-        rows.append(logits.data.copy())
+        rows.append(logits.data)
     return np.vstack(rows)
 
 

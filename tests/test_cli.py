@@ -220,6 +220,19 @@ class TestEval:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error: unreadable checkpoint"), err
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+    def test_checkpoint_version_other_than_the_integer_1_exit_3(
+        self, corpus, trained, tmp_path, capsys, version
+    ):
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        payload["version"] = version
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        code = main(["predict", "--checkpoint", str(broken), "--corpus", str(corpus)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err == [f"error: unsupported checkpoint version {version!r} in {broken}"], err
+
     def test_schema_of_stdout_report(self, corpus, trained, capsys):
         code = main(
             [

@@ -702,29 +702,46 @@ def test_aliased_gradients_are_copied_not_adopted(op):
     assert x.grad.flags.owndata and w.grad.flags.owndata
 
 
-def test_an_assigned_gradient_is_never_written_into():
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "scoring"])
+def test_writing_into_an_op_output_raises(tracked):
     rng = np.random.default_rng(12)
-    x = leaf(rng, 2, 2)
-    mine = np.zeros((2, 2))
-    x.grad = mine
-    T.sum_all(T.scale(x, 3.0)).backward()
-    assert mine.tobytes() == np.zeros((2, 2)).tobytes()
-    np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0))
+    x = Tensor(rng.normal(size=(3, 2)), requires_grad=tracked)
+    for out in (T.scale(x, 2.0), T.fold_rows(x, 3), T.relu(x)):
+        with pytest.raises(ValueError, match="read-only"):
+            out.data[0, 0] = 1.0
+    x.data[0, 0] = 1.0  # a leaf stays writable
 
 
-def test_a_mis_shaped_gradient_is_refused():
-    # Adam would broadcast a (1, 2) gradient over every row of a (5, 2)
-    # parameter; a 1-D array has no rows at all.
-    rng = np.random.default_rng(14)
-    x = leaf(rng, 5, 2)
-    for value in (np.ones((1, 2)), np.ones(2), np.ones((2, 5)), np.ones((5, 2, 1))):
-        with pytest.raises(DimensionError, match=r"\(5, 2\)"):
-            x.grad = value
-        assert x.grad is None
-    x.grad = np.ones((5, 2))
-    assert x.grad.shape == (5, 2)
-    x.grad = None
-    assert x.grad is None
+def test_a_backward_that_writes_into_its_gradient_raises():
+    # add hands its upstream gradient to both operands as it is, so a
+    # closure that wrote into the gradient it is given would change its
+    # sibling's gradient as well.
+    rng = np.random.default_rng(12)
+    a, b = leaf(rng, 2, 2), leaf(rng, 2, 2)
+    ha = T.scale(a, 2.0)
+    loss = T.sum_all(T.add(ha, T.scale(b, 3.0)))
+    inner = ha._node.backward
+
+    def writes(g):
+        g *= 2.0
+        inner(g)
+
+    ha._node.backward = writes
+    with pytest.raises(ValueError, match="read-only"):
+        loss.backward()
+
+
+def test_writing_into_a_leaf_gradient_raises():
+    # w adopts mul's product as it is; x gets two shares, the second summed.
+    rng = np.random.default_rng(12)
+    x, w = leaf(rng, 2, 2), leaf(rng, 2, 2)
+    T.sum_all(T.add(T.mul(x, x), w)).backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+    for grad in (x.grad, w.grad):
+        with pytest.raises(ValueError, match="read-only"):
+            grad[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            grad += 1.0
 
 
 def test_add_shares_its_gradient_and_a_later_sum_leaves_the_share_alone():

@@ -90,17 +90,29 @@ def scalar_param(value):
     return {"p": Tensor([[value]], requires_grad=True)}
 
 
+def dense_backward(table, weights):
+    """A dense gradient through an op on the whole table."""
+    sum_all(mul(table, tensor(weights))).backward()
+
+
+def set_grad(param, g):
+    """Give param the gradient g, exactly: a backward's 1.0 * g is g bit for
+    bit, signed zeros and subnormals included."""
+    param.zero_grad()
+    dense_backward(param, g)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = scalar_param(0.7)
-        params["p"].grad = np.zeros((1, 1))
+        set_grad(params["p"], np.zeros((1, 1)))
         state = AdamState.for_params(params)
         adam_step(params, state, TrainConfig(learning_rate=0.1))
         assert params["p"].data[0, 0] == 0.7
 
     def test_first_step_closed_form(self):
         params = scalar_param(0.0)
-        params["p"].grad = np.ones((1, 1))
+        set_grad(params["p"], np.ones((1, 1)))
         state = AdamState.for_params(params)
         adam_step(params, state, TrainConfig(learning_rate=0.1))
         want = oracles.adam_trace(0.0, [1.0], lr=0.1)[0]
@@ -113,12 +125,24 @@ class TestAdam:
         config = TrainConfig(learning_rate=0.1)
         got = []
         for _ in range(2):
-            params["p"].grad = np.ones((1, 1))
+            set_grad(params["p"], np.ones((1, 1)))
             adam_step(params, state, config)
             got.append(params["p"].data[0, 0])
         want = oracles.adam_trace(0.0, [1.0, 1.0], lr=0.1)
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert state.t == 2
+
+    def test_step_updates_the_leaves_in_place_and_leaves_the_gradient_alone(self):
+        rng = np.random.default_rng(8)
+        params = {"w": Tensor(rng.normal(size=(3, 4)), requires_grad=True)}
+        w, before = params["w"].data, params["w"].data.copy()
+        set_grad(params["w"], rng.normal(size=(3, 4)))
+        grad = params["w"].grad
+        snapshot = grad.tobytes()
+        assert not grad.flags.writeable
+        adam_step(params, AdamState.for_params(params), TrainConfig(learning_rate=0.1))
+        assert params["w"].data is w and (w != before).all()
+        assert params["w"].grad is grad and grad.tobytes() == snapshot
 
     def test_missing_grad_rejected(self):
         params = scalar_param(0.0)
@@ -136,7 +160,7 @@ class TestAdam:
         state = AdamState.for_params(params)
         config = TrainConfig(learning_rate=0.0)
         for _ in range(5):
-            params["w"].grad = rng.normal(size=(3, 4))
+            set_grad(params["w"], rng.normal(size=(3, 4)))
             adam_step(params, state, config)
         np.testing.assert_array_equal(params["w"].data, snapshot)
 
@@ -160,7 +184,7 @@ class TestAdam:
                 # Zero rows, as the embedding gradient has, and wide magnitudes.
                 g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3, size=p.shape)
                 g[rng.random(size=p.shape[0]) < 0.5] = 0.0
-                p.grad = g
+                set_grad(p, g)
                 want[name] = oracles.adam_out_of_place(*want[name], g, t, lr=3e-3)
             adam_step(params, state, config)
             for name, p in params.items():
@@ -177,11 +201,6 @@ def gather_backward(table, ids, weights):
     ids[i], summed per distinct id."""
     out = gather_rows(table, ids)
     sum_all(mul(out, tensor(weights))).backward()
-
-
-def dense_backward(table, weights):
-    """A dense gradient through an op on the whole table."""
-    sum_all(mul(table, tensor(weights))).backward()
 
 
 class RowSparseAdam:
@@ -239,12 +258,6 @@ class TestRowSparseAdam:
         gather_backward(table, [11], weights(1))
         assert table.grad_rows is None
         run.step()
-        # Setting grad makes it dense, whatever the gathers listed.
-        gather_backward(table, [12, 13], weights(2))
-        assert table.grad_rows is not None
-        table.grad = weights(shape[0])
-        assert table.grad_rows is None
-        run.step()
         # After zero_grad (in step()) a gather lists only its own rows. Row
         # 2050 stays untouched for these three steps while its moments,
         # nonzero since the dense steps, decay and still move the row.
@@ -254,7 +267,7 @@ class TestRowSparseAdam:
             assert table.grad_rows.tolist() == sorted(set(ids))
             run.step()
             assert (table.data[2050] != before).all()
-        assert run.state.t == 8
+        assert run.state.t == 7
 
     def test_every_row_touched_stays_exact(self):
         rng = np.random.default_rng(4)
@@ -296,7 +309,7 @@ class TestRowSparseAdam:
                     gather_backward(run.table, second, pool[-len(second) * 3 :].reshape(-1, 3))
                     assert run.table.grad_rows.tolist() == sorted(set(first) | set(second))
                 elif kind == "gather_then_set":
-                    run.table.grad = pool.reshape(11, 3)
+                    set_grad(run.table, pool.reshape(11, 3))
                 run.step()
 
 
@@ -457,8 +470,13 @@ class TestEvaluate:
         for logits in seen:
             assert not logits.requires_grad
             assert logits._node is None
+            assert not logits.data.flags.writeable
         assert all(p.grad is None for p in model.params.values())
         assert got.tobytes() == want.tobytes()
+        # The scoring views share the live parameters, which stay writable
+        # for the optimizer; the logits come back in an array of their own.
+        assert all(p.data.flags.writeable for p in model.params.values())
+        assert got.flags.owndata and got.flags.writeable
 
     def test_probability_and_tie_breaking(self):
         logits = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
